@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 digest of the schedules generated for a list of instances.
+
+The digest pins every generated schedule codeword for codeword, so a change
+to schedule generation that keeps it identical must keep the digest:
+
+    python scripts/schedule_digest.py                   # the K <= 24 grid
+    python scripts/schedule_digest.py --instances 22:16,31:26
+
+The canonical text has one line per instance, in list order: ``"K i "``,
+then the codewords joined by ``;``, each codeword being its terms written
+``u:p`` and joined by ``,`` in emitted order.  Every instance is generated
+with N = K files.  Run it with the package importable: installed, or with
+``PYTHONPATH=src`` from the repository root.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from typing import Iterable
+
+from cachecode import SystemParams, TransmissionSchedule, generate_schedule
+
+GRID24 = [(K, i) for K in range(2, 25) for i in range(1, K)]
+
+
+def instance_schedule(K: int, i: int) -> TransmissionSchedule:
+    return generate_schedule(SystemParams(n_files=K, n_users=K, cache_units=i))
+
+
+def canonical_line(schedule: TransmissionSchedule) -> str:
+    """The canonical text of one schedule, newline included."""
+    params = schedule.params
+    body = ";".join(
+        ",".join(f"{u}:{p}" for u, p in cw) for cw in schedule.codewords
+    )
+    return f"{params.n_users} {params.cache_units} {body}\n"
+
+
+def digest_of(schedules: Iterable[TransmissionSchedule]) -> str:
+    digest = hashlib.sha256()
+    for schedule in schedules:
+        digest.update(canonical_line(schedule).encode())
+    return digest.hexdigest()
+
+
+def parse_instances(text: str) -> list[tuple[int, int]]:
+    instances = []
+    for item in text.split(","):
+        K, _, i = item.partition(":")
+        try:
+            instance = (int(K), int(i))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"instance {item!r} is not of the form K:i"
+            ) from None
+        if not 1 <= instance[1] <= instance[0]:
+            raise argparse.ArgumentTypeError(
+                f"instance {item!r} needs 1 <= i <= K"
+            )
+        instances.append(instance)
+    return instances
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument(
+        "--grid24",
+        action="store_true",
+        help="all 276 instances 2 <= K <= 24, 1 <= i <= K-1 (the default)",
+    )
+    group.add_argument(
+        "--instances",
+        type=parse_instances,
+        metavar="K:i,...",
+        help="comma-separated instance list, e.g. 22:16,31:26",
+    )
+    args = parser.parse_args(argv)
+    instances = args.instances or GRID24
+    print(digest_of(instance_schedule(K, i) for K, i in instances))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,12 @@ program as the backstop.
 
 A separate closed-form generator covers the small-cache regime
 (1 < i <= K/2), where every codeword pairs at most two sub-packets.
+
+Internally the search and the fallbacks work on integer cells of the K x K
+(user, packet) ring and on bitmasks of them (:class:`_Ring`): a cell's
+diagonal p - u mod K is fixed by the sweep, and one precomputed mask per
+cell answers every mutual-caching test.  Sub-packet ids are built only for
+the emitted codewords.
 """
 
 from __future__ import annotations
@@ -336,35 +342,108 @@ def _assert_schedule_shape(schedule: TransmissionSchedule) -> None:
 _PARTNER = {1: 2, 2: 1, 3: 4, 4: 3}
 
 
-def _advance(term: SubpacketId, n_users: int) -> SubpacketId:
-    return SubpacketId(
-        wrap(term.user + 1, n_users), wrap(term.packet + 1, n_users)
-    )
+class _Ring:
+    """The K x K (user, packet) ring of one instance as integer cells.
+
+    Cell ``c = (u-1)*K + (p-1)`` stands for sub-packet (u, p); int order is
+    (user, packet) order, so sorting cells sorts sub-packets.  Sets of
+    cells are K*K-bit masks.  ``compat[c]`` holds the cells that can share
+    a codeword with c: bit c' is set when the user of each cell caches the
+    packet of the other.  A demanded cell never caches its own packet, so
+    it is never in its own mask.  ``adv[c]`` is the cell one sweep step
+    further, (u+1, p+1), and ``diag[c]`` the diagonal p - u mod K it stays
+    on.  Under cyclic placement two cells are compatible exactly when the
+    user offset between them suits both diagonals.
+    """
+
+    __slots__ = ("n_users", "compat", "adv", "diag", "terms")
+
+    def __init__(self, layout: CacheLayout) -> None:
+        K = layout.n_users
+        cells = range(K * K)
+        row = (1 << K) - 1
+        every_row = sum(1 << (r * K) for r in range(K))
+        # holders[p]: every cell of the users caching packet p;
+        # known[u]: every cell whose packet user u caches.
+        holders = [0] * K
+        known = [0] * K
+        for u in range(K):
+            for p in layout.packets(u + 1):
+                holders[p - 1] |= row << (u * K)
+                known[u] |= every_row << (p - 1)
+        self.n_users = K
+        self.compat = [holders[c % K] & known[c // K] for c in cells]
+        self.adv = [self.shift(c, 1) for c in cells]
+        self.diag = [(c % K - c // K) % K for c in cells]
+        self.terms = [SubpacketId(c // K + 1, c % K + 1) for c in cells]
+
+    def cell(self, term: SubpacketId) -> int:
+        return (term.user - 1) * self.n_users + term.packet - 1
+
+    def on_diagonal(self, user: int, offset: int) -> int:
+        """The cell of 0-based ``user`` on diagonal ``offset``."""
+        K = self.n_users
+        return user * K + (user + offset) % K
+
+    def shift(self, c: int, steps: int) -> int:
+        """The cell ``steps`` sweep steps after c."""
+        K = self.n_users
+        return (c // K + steps) % K * K + (c + steps) % K
+
+    def codeword(self, cells: Sequence[int]) -> Codeword:
+        return tuple(self.terms[c] for c in cells)
 
 
-def _run_ahead(
-    cell: SubpacketId,
-    remaining: Collection[SubpacketId],
-    claimed: Collection[SubpacketId],
-    n_users: int,
-) -> int:
-    """Transmissions a term seated at ``cell`` survives before colliding."""
+# The mask holding every cell, whatever K: what an empty codeword allows.
+_ANY_CELL = -1
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _run_ahead(cell: int, free: int, adv: Sequence[int], n_users: int) -> int:
+    """Transmissions a term seated at ``cell`` survives before colliding.
+
+    ``free`` holds the cells still owed and not in the codeword under
+    construction.
+    """
     run = 0
     cur = cell
-    while run < n_users and cur in remaining and cur not in claimed:
+    while run < n_users and free >> cur & 1:
         run += 1
-        cur = _advance(cur, n_users)
+        cur = adv[cur]
     return run
 
 
+def _rule_cell(cell: int, flag: int, n_users: int) -> int:
+    """:func:`rule` on an integer cell."""
+    u, p = divmod(cell, n_users)
+    if flag == 1:
+        return u * n_users + (p + 1) % n_users
+    if flag == 2:
+        return (u + 1) % n_users * n_users + p
+    if flag == 3:
+        return (u - 1) % n_users * n_users + p
+    return u * n_users + (p - 1) % n_users
+
+
 def _replacement_choices(
-    dead: SubpacketId,
+    dead: int,
     flag: int,
-    layout: CacheLayout,
-    remaining: set[SubpacketId],
-    partial: Sequence[SubpacketId],
+    ring: _Ring,
+    owed: int,
+    owed_on: Sequence[int],
+    partial: Sequence[int],
+    allowed: int,
     steps_left: int,
-) -> list[tuple[SubpacketId | None, int]]:
+) -> list[tuple[int | None, int]]:
     """Ordered placement options for a term whose advance was already served.
 
     The four local rules come first (partner rule leading once a pairing
@@ -374,119 +453,132 @@ def _replacement_choices(
     codeword built so far; rescues prefer diagonals holding the most owed
     cells per committed term, then seats whose unobstructed run matches the
     transmissions left.  Abandoning the term is the final option.
+
+    ``owed`` is the owed-cell mask, ``owed_on[d]`` the owed cells on
+    diagonal d, and ``allowed`` the cells compatible with every term of
+    ``partial``.
     """
-    K = layout.n_users
-    choices: list[tuple[SubpacketId | None, int]] = []
-    seen: set[SubpacketId] = set()
+    K = ring.n_users
+    choices: list[tuple[int | None, int]] = []
+    seen = 0
     if flag == 0:
         order: tuple[int, ...] = (1, 2, 3, 4)
     else:
         first = _PARTNER[flag]
         order = (first,) + tuple(k for k in (1, 2, 3, 4) if k != first)
+    fits = owed & allowed
     for k in order:
-        cand = rule(dead, k, K)
-        if cand not in seen and check(cand, layout, remaining, partial):
+        cand = _rule_cell(dead, k, K)
+        if fits >> cand & 1 and not seen >> cand & 1:
             choices.append((cand, k))
-            seen.add(cand)
-    claimed = frozenset(partial)
-    owed: dict[int, int] = {}
-    committed: dict[int, int] = {}
-    for u, p in remaining:
-        d = (p - u) % K
-        owed[d] = owed.get(d, 0) + 1
-    for u, p in partial:
-        d = (p - u) % K
-        committed[d] = committed.get(d, 0) + 1
-    rescue: list[tuple[float, int, int, int, SubpacketId]] = []
-    for cell in sorted(remaining):
-        if cell in seen or cell in claimed:
-            continue
-        if not check(cell, layout, remaining, partial):
-            continue
-        d = (cell.packet - cell.user) % K
-        need = owed[d] / (1 + committed.get(d, 0))
-        fit = abs(_run_ahead(cell, remaining, claimed, K) - steps_left)
-        rescue.append((-need, fit, cell.user, cell.packet, cell))
+            seen |= 1 << cand
+    diag, adv = ring.diag, ring.adv
+    claimed = 0
+    committed = [0] * K
+    for t in partial:
+        claimed |= 1 << t
+        committed[diag[t]] += 1
+    free = owed & ~claimed
+    rescue: list[tuple[float, int, int]] = []
+    for cell in _bits(free & allowed & ~seen):
+        d = diag[cell]
+        need = owed_on[d] / (1 + committed[d])
+        fit = abs(_run_ahead(cell, free, adv, K) - steps_left)
+        rescue.append((-need, fit, cell))
     rescue.sort()
-    choices.extend((cell, 0) for _, _, _, _, cell in rescue)
+    choices.extend((cell, 0) for _, _, cell in rescue)
     choices.append((None, flag))
     return choices
 
 
 def _diagonals_feasible(
-    cells: Collection[SubpacketId], steps: int, n_users: int, stride: int
+    left_on: Sequence[int], steps: int, n_users: int, stride: int
 ) -> bool:
     """Necessary condition for finishing the owed cells in ``steps``.
 
-    Codeword terms sharing a diagonal (packet minus user, mod K) must keep
-    a pairwise circular distance of at least max(stride - gap, gap) where
+    ``left_on[d]`` counts the cells left on diagonal d (packet minus user,
+    mod K).  Codeword terms sharing a diagonal must keep a pairwise
+    circular distance of at least max(stride - gap, gap) where
     gap = K - diagonal, so one transmission ships at most K // distance of
     that diagonal's cells.
     """
-    counts: dict[int, int] = {}
-    for u, p in cells:
-        d = (p - u) % n_users
-        counts[d] = counts.get(d, 0) + 1
-    for d, count in counts.items():
-        gap = n_users - d
-        team = n_users // max(stride - gap, gap)
-        if -(-count // team) > steps:
-            return False
+    for d, count in enumerate(left_on):
+        if count:
+            gap = n_users - d
+            team = n_users // max(stride - gap, gap)
+            if -(-count // team) > steps:
+                return False
     return True
 
 
 def _checked_tail(
-    remaining: set[SubpacketId], params: SystemParams, layout: CacheLayout
-) -> list[SubpacketId] | None:
+    ring: _Ring, owed: int, params: SystemParams
+) -> list[int] | None:
     """Tail codeword when it is well formed, else None to fall back."""
     try:
-        terms = tail_subroutine(remaining, params)
+        terms = tail_subroutine([ring.terms[c] for c in _bits(owed)], params)
     except NoSeedTerm:
         return None
-    built: list[SubpacketId] = []
+    built: list[int] = []
+    allowed = owed
     for term in terms:
-        if term in built or not check(term, layout, remaining, built):
+        cell = ring.cell(term)
+        if not allowed >> cell & 1:
             return None
-        built.append(term)
+        built.append(cell)
+        allowed &= ring.compat[cell]
     return built
 
 
 def _transversal_clique(
-    offsets: Sequence[int], layout: CacheLayout
-) -> list[SubpacketId] | None:
+    offsets: Sequence[int], ring: _Ring
+) -> list[int] | None:
     """Lexicographically least clique with one cell on each listed diagonal.
 
     A diagonal is the set of cells (u, u + offset mod K); advancing every
     term of a codeword by one step keeps mutual caching intact, so one
     such clique sweeps all its diagonals completely in K transmissions.
     """
-    K = layout.n_users
-    chosen: list[SubpacketId] = []
+    chosen: list[int] = []
 
-    def extend(idx: int) -> bool:
+    def extend(idx: int, allowed: int) -> bool:
         if idx == len(offsets):
             return True
-        off = offsets[idx]
-        for u in range(1, K + 1):
-            cell = SubpacketId(u, wrap(u + off, K))
-            if _compatible(cell, chosen, layout):
+        for u in range(ring.n_users):
+            cell = ring.on_diagonal(u, offsets[idx])
+            if allowed >> cell & 1:
                 chosen.append(cell)
-                if extend(idx + 1):
+                if extend(idx + 1, allowed & ring.compat[cell]):
                     return True
                 chosen.pop()
         return False
 
-    return chosen if extend(0) else None
+    return chosen if extend(0, _ANY_CELL) else None
+
+
+def _conflicts(order: Sequence[int], ring: _Ring) -> list[int]:
+    """Bit b of entry a: cells order[a] and order[b] cannot share a codeword."""
+    conflicts = []
+    for a, cell in enumerate(order):
+        fits = ring.compat[cell]
+        conflicts.append(
+            sum(
+                1 << b
+                for b, other in enumerate(order)
+                if b != a and not fits >> other & 1
+            )
+        )
+    return conflicts
 
 
 def _tile_minconf(
-    cells: Collection[SubpacketId],
+    cells: Collection[int],
     n_cliques: int,
     arity: int,
-    layout: CacheLayout,
+    ring: _Ring,
     n_seeds: int = 50,
     n_moves: int = 12_000,
-) -> list[Codeword] | None:
+) -> list[tuple[int, ...]] | None:
     """Partition ``cells`` into ``n_cliques`` codewords by local search.
 
     Deals the cells round-robin into the codeword slots, then repairs:
@@ -502,12 +594,7 @@ def _tile_minconf(
     n = len(order)
     if not (0 < n_cliques <= n <= arity * n_cliques):
         return None
-    adj = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not _compatible(order[a], (order[b],), layout):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+    adj = _conflicts(order, ring)
     floor_size = max(1, n - arity * (n_cliques - 1))
     for seed in range(n_seeds):
         rng = random.Random(seed)
@@ -521,29 +608,24 @@ def _tile_minconf(
             assign[b] = j
             slots[j] |= 1 << b
             sizes[j] += 1
-        conflicted = {
-            b for b in range(n) if adj[b] & slots[assign[b]]
-        }
+        # own[b]: conflicts of b with its slot-mates; members[j]: the
+        # occupants of slot j in ascending order.
+        own = [(adj[b] & slots[assign[b]]).bit_count() for b in range(n)]
+        conflicted = {b for b in range(n) if own[b]}
+        members = [_bits(slot) for slot in slots]
 
         def refresh(touched: set[int]) -> None:
             for x in touched:
-                if adj[x] & slots[assign[x]]:
+                own[x] = (adj[x] & slots[assign[x]]).bit_count()
+                if own[x]:
                     conflicted.add(x)
                 else:
                     conflicted.discard(x)
 
-        def occupants(j: int) -> list[int]:
-            out = []
-            mask = slots[j]
-            while mask:
-                out.append((mask & -mask).bit_length() - 1)
-                mask &= mask - 1
-            return out
-
         for _ in range(n_moves):
             if not conflicted:
                 return [
-                    tuple(sorted(order[b] for b in occupants(j)))
+                    tuple(order[b] for b in members[j])
                     for j in range(n_cliques)
                 ]
             pool = sorted(conflicted)
@@ -555,32 +637,33 @@ def _tile_minconf(
                 target = rng.randrange(n_cliques - 1)
                 if target >= cur:
                     target += 1
-                seats = occupants(target)
+                seats = members[target]
                 partner = seats[rng.randrange(len(seats))] if seats else -1
                 if partner < 0:
                     continue
             else:
-                cur_cost = (adj[cell] & slots[cur]).bit_count()
+                cell_adj = adj[cell]
                 best: int | None = None
                 moves: list[tuple[int, int]] = []
                 for j in range(n_cliques):
                     if j == cur:
                         continue
+                    gain = (cell_adj & slots[j]).bit_count() - own[cell]
                     if sizes[j] < arity and sizes[cur] > floor_size:
-                        delta = (
-                            adj[cell] & slots[j]
-                        ).bit_count() - cur_cost
+                        delta = gain
                         if best is None or delta <= best:
                             if best is None or delta < best:
                                 moves = []
                             best = delta
                             moves.append((j, -1))
-                    for b in occupants(j):
+                    for b in members[j]:
+                        # Swapping cell and b: neither counts the other
+                        # as a conflict once they have traded slots.
                         delta = (
-                            (adj[cell] & (slots[j] & ~(1 << b))).bit_count()
-                            - cur_cost
-                            + (adj[b] & (slots[cur] & ~(1 << cell))).bit_count()
-                            - (adj[b] & slots[j] & ~(1 << b)).bit_count()
+                            gain
+                            - 2 * (cell_adj >> b & 1)
+                            + (adj[b] & slots[cur]).bit_count()
+                            - own[b]
                         )
                         if best is None or delta <= best:
                             if best is None or delta < best:
@@ -601,14 +684,13 @@ def _tile_minconf(
             slots[target] |= 1 << cell
             sizes[target] += 1
             assign[cell] = target
+            members[cur] = _bits(slots[cur])
+            members[target] = _bits(slots[target])
             touched = {cell}
             if partner >= 0:
                 touched.add(partner)
             near = adj[cell] | (adj[partner] if partner >= 0 else 0)
-            mask = near & (slots[cur] | slots[target])
-            while mask:
-                touched.add((mask & -mask).bit_length() - 1)
-                mask &= mask - 1
+            touched.update(_bits(near & (slots[cur] | slots[target])))
             refresh(touched)
     return None
 
@@ -617,8 +699,8 @@ def _spaced_run_cover(
     offsets: Sequence[int],
     n_cliques: int,
     arity: int,
-    layout: CacheLayout,
-) -> list[Codeword] | None:
+    ring: _Ring,
+) -> list[tuple[int, ...]] | None:
     """Cover full diagonals with shifted runs of a common step d.
 
     With d coprime to K, the multiples of d walk through every user index,
@@ -630,11 +712,11 @@ def _spaced_run_cover(
     ``n_cliques``.  Everything is tried in one fixed order, smallest m and
     largest q first, so the result is deterministic.
     """
-    K = layout.n_users
+    K = ring.n_users
     n_diag = len(offsets)
     if n_diag == 0 or arity < n_diag:
         return None
-    bases: dict[tuple[int, int], list[SubpacketId] | None] = {}
+    bases: dict[tuple[int, int], list[int] | None] = {}
     for m in range(1, arity // n_diag + 1):
         spare = arity - m * n_diag
         for q in range(min(K // m, n_cliques), 0, -1):
@@ -653,13 +735,13 @@ def _spaced_run_cover(
                 if math.gcd(d, K) != 1:
                     continue
                 if (m, d) not in bases:
-                    bases[m, d] = _spaced_base(offsets, m, d, layout)
+                    bases[m, d] = _spaced_base(offsets, m, d, ring)
                 base = bases[m, d]
                 if base is None:
                     continue
                 built = _spaced_assemble(
                     base, offsets, m, q, d, rem, n_extra, spare,
-                    arity, layout,
+                    arity, ring,
                 )
                 if built is not None:
                     return built
@@ -667,48 +749,48 @@ def _spaced_run_cover(
 
 
 def _spaced_base(
-    offsets: Sequence[int], m: int, d: int, layout: CacheLayout
-) -> list[SubpacketId] | None:
+    offsets: Sequence[int], m: int, d: int, ring: _Ring
+) -> list[int] | None:
     """Base codeword with m cells spaced d apart on each listed diagonal.
 
     The first diagonal is anchored at user 1: any shift of a full spaced
     run cover is another one, so nothing is lost.  Depth-first over the
     remaining anchors, keeping every partial choice mutually compatible.
     """
-    K = layout.n_users
-    chosen: list[SubpacketId] = []
+    K = ring.n_users
+    chosen: list[int] = []
 
-    def block(anchor: int, off: int) -> list[SubpacketId] | None:
+    def block(anchor: int, off: int, allowed: int) -> tuple[list[int], int] | None:
+        """The block's cells and the cells still allowed after them."""
         cells = []
         for l in range(m):
-            u = wrap(anchor + l * d, K)
-            cell = SubpacketId(u, wrap(u + off, K))
-            if not _compatible(cell, chosen, layout) or not _compatible(
-                cell, cells, layout
-            ):
+            cell = ring.on_diagonal((anchor + l * d) % K, off)
+            if not allowed >> cell & 1:
                 return None
             cells.append(cell)
-        return cells
+            allowed &= ring.compat[cell]
+        return cells, allowed
 
-    def extend(idx: int) -> bool:
+    def extend(idx: int, allowed: int) -> bool:
         if idx == len(offsets):
             return True
-        anchors = [1] if idx == 0 else range(1, K + 1)
+        anchors = [0] if idx == 0 else range(K)
         for a in anchors:
-            cells = block(a, offsets[idx])
-            if cells is None:
+            found = block(a, offsets[idx], allowed)
+            if found is None:
                 continue
+            cells, after = found
             chosen.extend(cells)
-            if extend(idx + 1):
+            if extend(idx + 1, after):
                 return True
             del chosen[-m:]
         return False
 
-    return chosen if extend(0) else None
+    return chosen if extend(0, _ANY_CELL) else None
 
 
 def _spaced_assemble(
-    base: Sequence[SubpacketId],
+    base: Sequence[int],
     offsets: Sequence[int],
     m: int,
     q: int,
@@ -717,8 +799,8 @@ def _spaced_assemble(
     n_extra: int,
     spare: int,
     arity: int,
-    layout: CacheLayout,
-) -> list[Codeword] | None:
+    ring: _Ring,
+) -> list[tuple[int, ...]] | None:
     """Shift the base q times and seat the leftover cells, exactly.
 
     Extras are the last ``rem`` d-multiples of each diagonal walk.  Each is
@@ -727,25 +809,20 @@ def _spaced_assemble(
     the ``n_extra`` budgeted codewords remains unopened; the first
     depth-first assignment that uses the budget exactly wins.
     """
-    K = layout.n_users
-    cliques: list[list[SubpacketId]] = []
-    for r in range(q):
-        shift = r * m * d
-        cliques.append(
-            [SubpacketId(wrap(u + shift, K), wrap(p + shift, K))
-             for u, p in base]
-        )
-    anchors = {off: base[idx * m].user for idx, off in enumerate(offsets)}
+    K = ring.n_users
+    cliques = [[ring.shift(c, r * m * d) for c in base] for r in range(q)]
+    anchors = {off: base[idx * m] // K for idx, off in enumerate(offsets)}
     extras = [
-        SubpacketId(
-            wrap(anchors[off] + (m * q + x) * d, K),
-            wrap(anchors[off] + (m * q + x) * d + off, K),
-        )
+        ring.on_diagonal((anchors[off] + (m * q + x) * d) % K, off)
         for off in offsets
         for x in range(rem)
     ]
-    extra_cliques: list[list[SubpacketId]] = []
+    extra_cliques: list[list[int]] = []
     budget = 200_000
+
+    def fits(cell: int, clique: Sequence[int]) -> bool:
+        allowed = ring.compat[cell]
+        return all(allowed >> c & 1 for c in clique)
 
     def seat(idx: int) -> bool:
         nonlocal budget
@@ -758,15 +835,13 @@ def _spaced_assemble(
             return False
         cell = extras[idx]
         for clique in cliques:
-            if len(clique) - len(base) < spare and _compatible(
-                cell, clique, layout
-            ):
+            if len(clique) - len(base) < spare and fits(cell, clique):
                 clique.append(cell)
                 if seat(idx + 1):
                     return True
                 clique.pop()
         for clique in extra_cliques:
-            if len(clique) < arity and _compatible(cell, clique, layout):
+            if len(clique) < arity and fits(cell, clique):
                 clique.append(cell)
                 if seat(idx + 1):
                     return True
@@ -784,11 +859,11 @@ def _spaced_assemble(
 
 
 def _tile_milp(
-    cells: Collection[SubpacketId],
+    cells: Collection[int],
     n_cliques: int,
     arity: int,
-    layout: CacheLayout,
-) -> list[Codeword] | None:
+    ring: _Ring,
+) -> list[tuple[int, ...]] | None:
     """Exact partition into compatible codewords via integer programming.
 
     One binary per (cell, codeword slot): every cell sits in exactly one
@@ -833,9 +908,10 @@ def _tile_milp(
         lo.append(1.0)
         hi.append(float(arity))
         row += 1
+    conflicts = _conflicts(order, ring)
     for a in range(n):
         for b in range(a + 1, n):
-            if not _compatible(order[a], (order[b],), layout):
+            if conflicts[a] >> b & 1:
                 for j in range(n_cliques):
                     put(row, a * n_cliques + j, 1.0)
                     put(row, b * n_cliques + j, 1.0)
@@ -884,9 +960,9 @@ def _tile_leftover(
     offsets: Sequence[int],
     n_cliques: int,
     arity: int,
-    layout: CacheLayout,
+    ring: _Ring,
     stride: int,
-) -> list[Codeword] | None:
+) -> list[tuple[int, ...]] | None:
     """Tile a union of full diagonals into exactly ``n_cliques`` codewords.
 
     Tries the structured spaced-run cover first; most instances that reach
@@ -895,7 +971,7 @@ def _tile_leftover(
     survives that goes to the integer-programming tiler, which is slower
     but complete.
     """
-    K = layout.n_users
+    K = ring.n_users
 
     def min_cliques(offs: Sequence[int]) -> int:
         lo = -(-len(offs) * K // arity)
@@ -909,55 +985,52 @@ def _tile_leftover(
         return [] if n_cliques == 0 else None
     if min_cliques(offsets) > n_cliques:
         return None
-    built = _spaced_run_cover(offsets, n_cliques, arity, layout)
+    built = _spaced_run_cover(offsets, n_cliques, arity, ring)
     if built is not None:
         return built
-    cells = [
-        SubpacketId(u, wrap(u + off, K))
-        for off in offsets
-        for u in range(1, K + 1)
-    ]
-    built = _tile_minconf(cells, n_cliques, arity, layout)
+    cells = [ring.on_diagonal(u, off) for off in offsets for u in range(K)]
+    built = _tile_minconf(cells, n_cliques, arity, ring)
     if built is not None:
         return built
-    return _tile_milp(cells, n_cliques, arity, layout)
+    return _tile_milp(cells, n_cliques, arity, ring)
 
 
 def _block_clique(
-    offsets: Sequence[int], mult: int, layout: CacheLayout
-) -> list[SubpacketId] | None:
+    offsets: Sequence[int], mult: int, ring: _Ring
+) -> list[int] | None:
     """Base codeword holding ``mult`` evenly spaced cells per diagonal.
 
     Cells on diagonal ``off`` sit at users a, a+K/mult, a+2K/mult, ...; the
     K/mult distinct shifts of such a codeword cover every listed diagonal
     exactly once.  Depth-first over the per-diagonal anchors ``a``.
     """
-    K = layout.n_users
-    period = K // mult
-    chosen: list[SubpacketId] = []
+    period = ring.n_users // mult
+    chosen: list[int] = []
 
-    def extend(idx: int) -> bool:
+    def extend(idx: int, allowed: int) -> bool:
         if idx == len(offsets):
             return True
-        off = offsets[idx]
-        for a in range(1, period + 1):
+        for a in range(period):
             cells = [
-                SubpacketId(wrap(a + j * period, K), wrap(a + j * period + off, K))
+                ring.on_diagonal(a + j * period, offsets[idx])
                 for j in range(mult)
             ]
-            if all(_compatible(c, chosen, layout) for c in cells):
+            if all(allowed >> c & 1 for c in cells):
+                after = allowed
+                for c in cells:
+                    after &= ring.compat[c]
                 chosen.extend(cells)
-                if extend(idx + 1):
+                if extend(idx + 1, after):
                     return True
                 del chosen[-mult:]
         return False
 
-    return chosen if extend(0) else None
+    return chosen if extend(0, _ANY_CELL) else None
 
 
 def _coset_cover(
-    params: SystemParams, layout: CacheLayout, consts: SchemeConstants
-) -> list[Codeword] | None:
+    params: SystemParams, ring: _Ring, consts: SchemeConstants
+) -> list[tuple[int, ...]] | None:
     """Shift-orbit cover of all owed diagonals, when the counts allow one.
 
     Assigns each diagonal a multiplicity m (cells per codeword, a divisor
@@ -1015,24 +1088,19 @@ def _coset_cover(
         assigned: dict[int, list[int]] = {}
         for off, m in zip(by_cap, mults):
             assigned.setdefault(m, []).append(off)
-        codewords: list[Codeword] = []
+        codewords: list[tuple[int, ...]] = []
         feasible = True
         for m in sorted(assigned):
             group = sorted(assigned[m])
             width = arity // m
             for g in range(0, len(group), width):
                 block = group[g : g + width]
-                base = _block_clique(block, m, layout)
+                base = _block_clique(block, m, ring)
                 if base is None:
                     feasible = False
                     break
                 for s in range(K // m):
-                    codewords.append(
-                        tuple(
-                            SubpacketId(wrap(u + s, K), wrap(p + s, K))
-                            for u, p in base
-                        )
-                    )
+                    codewords.append(tuple(ring.shift(c, s) for c in base))
             if not feasible:
                 break
         if feasible:
@@ -1041,8 +1109,8 @@ def _coset_cover(
 
 
 def _orbit_schedule(
-    params: SystemParams, layout: CacheLayout, consts: SchemeConstants
-) -> list[Codeword] | None:
+    params: SystemParams, ring: _Ring, consts: SchemeConstants
+) -> list[tuple[int, ...]] | None:
     """Cyclic construction for instances the sweep search cannot finish.
 
     The owed region is a union of K-i full diagonals.  Preferred shape: a
@@ -1058,7 +1126,7 @@ def _orbit_schedule(
     """
     K, i = params.n_users, params.cache_units
     arity, total, stride = consts.arity, consts.n_transmissions, consts.stride
-    codewords = _coset_cover(params, layout, consts)
+    codewords = _coset_cover(params, ring, consts)
     if codewords is not None:
         return codewords
 
@@ -1076,7 +1144,7 @@ def _orbit_schedule(
 
     n_loose_cliques = total - n_groups * K
     if n_loose_cliques >= 0 and (loose or not n_loose_cliques):
-        tiled = _tile_leftover(loose, n_loose_cliques, arity, layout, stride)
+        tiled = _tile_leftover(loose, n_loose_cliques, arity, ring, stride)
         if tiled is not None:
             groupings = []
             if n_groups:
@@ -1092,7 +1160,7 @@ def _orbit_schedule(
                 groupings = [[]]
             for groups in groupings:
                 transversals = [
-                    _transversal_clique(g, layout) for g in groups
+                    _transversal_clique(g, ring) for g in groups
                 ]
                 if any(t is None for t in transversals):
                     continue
@@ -1101,18 +1169,13 @@ def _orbit_schedule(
                     if trans is None:
                         continue
                     for s in range(K):
-                        codewords.append(
-                            tuple(
-                                SubpacketId(wrap(u + s, K), wrap(p + s, K))
-                                for u, p in trans
-                            )
-                        )
+                        codewords.append(tuple(ring.shift(c, s) for c in trans))
                 codewords.extend(tiled)
                 return codewords
 
     if not n_groups:
         return None
-    return _tile_leftover(offsets, total, arity, layout, stride)
+    return _tile_leftover(offsets, total, arity, ring, stride)
 
 
 def _solve_schedule(
@@ -1137,40 +1200,57 @@ def _solve_schedule(
     """
     K = params.n_users
     arity, budget, stride = consts.arity, consts.n_transmissions, consts.stride
-    remaining: set[SubpacketId] = set(demand_cells)
-    codewords: list[Codeword] = []
-    queue: list[SubpacketId] = list(seed)
-    partial: list[SubpacketId] = []
+    ring = _Ring(layout)
+    compat, adv, diag = ring.compat, ring.adv, ring.diag
+    owed = 0
+    for term in demand_cells:
+        owed |= 1 << ring.cell(term)
+    n_owed = owed.bit_count()
+    owed_on = [0] * K
+    for cell in _bits(owed):
+        owed_on[diag[cell]] += 1
+    seed_cells = [ring.cell(term) for term in seed]
+    codewords: list[list[int]] = []
+    queue = list(seed_cells)
+    # The codeword under construction and the cells compatible with all
+    # of its terms.
+    partial: list[int] = []
+    allowed = _ANY_CELL
     flag = 0
     pos = 0
-    # Untried options for each replacement decision, newest last.  Between
-    # two commits only (partial, flag, pos) change, so a decision records
-    # the commit count instead of copying the owed set; backtracking pops
-    # committed codewords back into it.
+    # The owed state before each committed codeword.  Between two commits
+    # only (partial, flag, pos) change, so a decision records the commit
+    # count, and backtracking restores the owed state from here.
+    saved: list[tuple[int, int, list[int]]] = []
+    # Untried options for each replacement decision, newest last.
     decisions: list[
-        tuple[int, tuple[SubpacketId, ...], int, list[tuple[SubpacketId | None, int]]]
+        tuple[int, tuple[int, ...], int, int, list[tuple[int | None, int]]]
     ] = []
     nodes = 0
 
     def backtrack() -> bool:
-        nonlocal queue, partial, flag, pos, nodes
+        nonlocal queue, partial, allowed, flag, pos, nodes
+        nonlocal owed, n_owed, owed_on
         while decisions:
-            n_committed, part, px, options = decisions[-1]
+            n_committed, part, part_allowed, px, options = decisions[-1]
             if not options:
                 decisions.pop()
                 continue
             nodes += 1
-            while len(codewords) > n_committed:
-                remaining.update(codewords.pop())
+            if len(codewords) > n_committed:
+                owed, n_owed, owed_on = saved[n_committed]
+                del saved[n_committed:], codewords[n_committed:]
             queue = (
-                [_advance(term, K) for term in codewords[-1]]
+                [adv[cell] for cell in codewords[-1]]
                 if codewords
-                else list(seed)
+                else list(seed_cells)
             )
             partial = list(part)
+            allowed = part_allowed
             term, flag = options.pop(0)
             if term is not None:
                 partial.append(term)
+                allowed &= compat[term]
             pos = px + 1
             return True
         return False
@@ -1191,35 +1271,36 @@ def _solve_schedule(
                 return None
             done = len(codewords) + 1
             steps = budget - done
-            left = len(remaining) - len(partial)
+            left = n_owed - len(partial)
             # Without the tail construction (possible only while at least
             # K cells are owed) the term count can never grow again.
             cap = arity if left >= K else min(arity, len(partial))
-            feasible = left <= cap * steps and (
-                left == 0
-                or _diagonals_feasible(
-                    [c for c in remaining if c not in set(partial)],
-                    steps,
-                    K,
-                    stride,
-                )
-            )
-            if not feasible:
+            left_on = list(owed_on)
+            for cell in partial:
+                left_on[diag[cell]] -= 1
+            if left > cap * steps or (
+                left and not _diagonals_feasible(left_on, steps, K, stride)
+            ):
                 if backtrack():
                     continue
                 return None
-            remaining.difference_update(partial)
-            codewords.append(tuple(partial))
-            if not remaining:
+            saved.append((owed, n_owed, owed_on))
+            for cell in partial:
+                owed ^= 1 << cell
+            n_owed = left
+            owed_on = left_on
+            codewords.append(partial)
+            if not owed:
                 log.debug(
                     "sweep for K=%d, i=%d done after %d decisions",
                     K,
                     params.cache_units,
                     nodes,
                 )
-                return codewords
-            queue = [_advance(term, K) for term in partial]
+                return [ring.codeword(cw) for cw in codewords]
+            queue = [adv[cell] for cell in partial]
             partial = []
+            allowed = _ANY_CELL
             flag = 0
             pos = 0
             continue
@@ -1227,28 +1308,39 @@ def _solve_schedule(
         if len(partial) >= arity or cand in partial:
             pos += 1
             continue
-        if cand in remaining:
-            if check(cand, layout, remaining, partial):
+        if owed >> cand & 1:
+            if allowed >> cand & 1:
                 partial.append(cand)
+                allowed &= compat[cand]
                 pos += 1
                 continue
             if backtrack():
                 continue
             return None
-        if not partial and len(remaining) == K:
-            tail = _checked_tail(remaining, params, layout)
+        if not partial and n_owed == K:
+            tail = _checked_tail(ring, owed, params)
             if tail is not None:
                 partial = tail
+                for cell in tail:
+                    allowed &= compat[cell]
                 pos += 1
                 continue
         options = _replacement_choices(
-            cand, flag, layout, remaining, partial, budget - len(codewords)
+            cand,
+            flag,
+            ring,
+            owed,
+            owed_on,
+            partial,
+            allowed,
+            budget - len(codewords),
         )
         nodes += 1
-        decisions.append((len(codewords), tuple(partial), pos, options))
+        decisions.append((len(codewords), tuple(partial), allowed, pos, options))
         term, flag = options.pop(0)
         if term is not None:
             partial.append(term)
+            allowed &= compat[term]
         pos += 1
 
 
@@ -1287,7 +1379,10 @@ def generate_schedule(
         node_budget=_SWEEP_NODE_BUDGET,
     )
     if codewords is None:
-        codewords = _orbit_schedule(params, layout, consts)
+        ring = _Ring(layout)
+        orbit = _orbit_schedule(params, ring, consts)
+        if orbit is not None:
+            codewords = [ring.codeword(cw) for cw in orbit]
     if codewords is None:
         raise ScheduleError(
             f"K={K}, i={i}: no schedule of {consts.n_transmissions} "

@@ -184,7 +184,10 @@ def random_file_store(
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"cannot XOR {len(a)} bytes with {len(b)} bytes")
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return x.to_bytes(len(a), "big")
 
 
 def simulate_end_to_end(

@@ -2,6 +2,7 @@
 codeword, replacement rules, schedule generation, and the pairwise
 closed form."""
 
+import logging
 import math
 from fractions import Fraction
 
@@ -10,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecode.delivery import (
+    _SWEEP_NODE_BUDGET,
+    _Ring,
+    _solve_schedule,
     closed_form_pairs,
     generate_schedule,
     initial_codeword_terms,
@@ -388,3 +392,63 @@ class TestClosedFormPairs:
         served = [term for cw in pairs.codewords for term in cw]
         assert len(served) == len(set(served)) == K * (K - i)
         assert set(served) == set(build_demand_list(params))
+
+
+def ring_instances():
+    return [(K, i) for K in range(1, 10) for i in range(K + 1)] + [(24, 17)]
+
+
+class TestIntegerCells:
+    @pytest.mark.parametrize("K,i", ring_instances())
+    def test_compatibility_table_matches_the_layout(self, K, i):
+        layout = build_cache_layout(instance(K, i))
+        ring = _Ring(layout)
+        terms = [SubpacketId(u, p) for u in range(1, K + 1) for p in range(1, K + 1)]
+        for a, (ua, pa) in enumerate(terms):
+            row = ring.compat[a]
+            for b, (ub, pb) in enumerate(terms):
+                mutual = layout.knows(ub, pa) and layout.knows(ua, pb)
+                assert bool(row >> b & 1) == mutual, (terms[a], terms[b])
+
+    @pytest.mark.parametrize("K,i", [(1, 0), (6, 4), (13, 9)])
+    def test_cells_follow_subpacket_order_and_advance_diagonally(self, K, i):
+        ring = _Ring(build_cache_layout(instance(K, i)))
+        assert ring.terms == sorted(ring.terms)
+        for c, (u, p) in enumerate(ring.terms):
+            assert ring.cell(SubpacketId(u, p)) == c
+            assert ring.terms[ring.adv[c]] == (u % K + 1, p % K + 1)
+            assert ring.diag[c] == (p - u) % K
+
+
+class TestSweepNodeBudget:
+    def solve(self, K, i):
+        params = instance(K, i)
+        return _solve_schedule(
+            params,
+            build_cache_layout(params),
+            scheme_constants(params),
+            initial_codeword_terms(params),
+            build_demand_list(params),
+            node_budget=_SWEEP_NODE_BUDGET,
+        )
+
+    def test_fallback_class_instance_exhausts_the_budget(self):
+        assert self.solve(13, 10) is None
+
+    def test_sweep_class_instance_finishes(self):
+        codewords = self.solve(13, 9)
+        assert codewords is not None
+        assert codewords == list(generate_schedule(instance(13, 9)).codewords)
+
+    @pytest.mark.parametrize(
+        "K,i,outcome",
+        [
+            (13, 9, "done after 7 decisions"),
+            (13, 10, "gave up after 20001 decisions"),
+            (23, 13, "done after 15709 decisions"),
+        ],
+    )
+    def test_decisions_spent(self, K, i, outcome, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cachecode.delivery"):
+            self.solve(K, i)
+        assert caplog.messages == [f"sweep for K={K}, i={i} {outcome}"]

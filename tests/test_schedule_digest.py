@@ -1,0 +1,59 @@
+"""The K <= 24 schedule grid, pinned codeword for codeword.
+
+Generates all 276 instances 2 <= K <= 24, 1 <= i <= K-1 once.  Their
+digest (see ``scripts/schedule_digest.py``) must equal the pinned value,
+so any change to schedule generation that alters a single term fails here,
+and every one of the schedules must pass the decodability verifier.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from cachecode.verify import verify_instantaneous_decodability
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "schedule_digest.py"
+GRID24_DIGEST = "dc45ef230d79d3c2d9e6ea3a035b557cf3377be3653749f267f0c3d6685fa32a"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("schedule_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+digest_script = load_script()
+
+
+@pytest.fixture(scope="module")
+def grid24():
+    return [digest_script.instance_schedule(K, i) for K, i in digest_script.GRID24]
+
+
+def test_grid24_digest_is_pinned(grid24):
+    assert digest_script.digest_of(grid24) == GRID24_DIGEST
+
+
+def test_grid24_is_decodable_on_sight(grid24):
+    failed = [
+        (s.params.n_users, s.params.cache_units)
+        for s in grid24
+        if not verify_instantaneous_decodability(s).ok
+    ]
+    assert failed == []
+
+
+def test_canonical_line_format():
+    schedule = digest_script.instance_schedule(4, 3)
+    assert digest_script.canonical_line(schedule) == "4 3 1:4,2:1,3:2,4:3\n"
+
+
+def test_digest_cli_takes_an_instance_list(capsys):
+    assert digest_script.main(["--instances", "4:3,6:4"]) == 0
+    printed = capsys.readouterr().out.strip()
+    expected = digest_script.digest_of(
+        [digest_script.instance_schedule(4, 3), digest_script.instance_schedule(6, 4)]
+    )
+    assert printed == expected

@@ -17,6 +17,7 @@ from cachecode.model import (
 )
 from cachecode.verify import (
     FileStore,
+    _xor,
     min_pair_transmissions,
     random_file_store,
     simulate_end_to_end,
@@ -165,6 +166,17 @@ class TestSimulation:
             simulate_end_to_end(
                 params, range(1, 7), store, schedule=broken, strict=True
             )
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 1024])
+    def test_xor_matches_the_bytewise_definition(self, size):
+        a = bytes((7 * k + 1) % 256 for k in range(size))
+        b = bytes((13 * k + 200) % 256 for k in range(size))
+        assert _xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
+        assert _xor(a, a) == bytes(size)
+
+    def test_xor_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            _xor(bytes(3), bytes(4))
 
     def test_store_shape_is_validated(self):
         params = instance(6, 4)
