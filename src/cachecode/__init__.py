@@ -26,7 +26,6 @@ from .errors import (
     InstanceError,
     NoSeedTerm,
     RegimeError,
-    ReplacementExhausted,
     ScheduleError,
     SimulationMismatch,
     UnsupportedMemoryPoint,
@@ -81,7 +80,6 @@ __all__ = [
     "OptimalityRow",
     "RateBoundCurve",
     "RegimeError",
-    "ReplacementExhausted",
     "ScheduleError",
     "SchemeConstants",
     "SimulationMismatch",

@@ -25,7 +25,6 @@ from .errors import (
     InstanceError,
     NoSeedTerm,
     RegimeError,
-    ReplacementExhausted,
     ScheduleError,
     UnsupportedMemoryPoint,
 )
@@ -227,6 +226,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_rate_curve(cfg: RunConfig) -> int:
     K = cfg.n_users
     n_files = cfg.n_files if cfg.n_files is not None else K
+    # Rejects K < 1 and N < 1 even where the loop below would not run.
+    SystemParams(n_files=n_files, n_users=K, cache_units=0)
     rows = []
     for i in range(K + 1):
         params = SystemParams(n_files=n_files, n_users=K, cache_units=i)
@@ -477,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InstanceError, RegimeError, UnsupportedMemoryPoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ReplacementExhausted, NoSeedTerm, ScheduleError) as exc:
+    except (NoSeedTerm, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -23,8 +23,10 @@ discipline (a kept term can wall off every compatible re-seat).  Those fall
 back to equivalent constructions with the same transmission count: shift
 orbits of one or a few base codewords when the counts allow them, and
 otherwise a direct packing of the owed sub-packets into exactly the right
-number of codewords, found by min-conflicts local search with an integer
-program as the backstop.
+number of codewords, found by seeded min-conflicts local search.  Every
+orbit construction shifts a base codeword found by one search
+(:func:`_orbit_base`), and every one of them bounds how densely a codeword
+can sample a diagonal by one spacing rule (:func:`_spacing`).
 
 A separate closed-form generator covers the small-cache regime
 (1 < i <= K/2), where every codeword pairs at most two sub-packets.
@@ -45,13 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Sequence
 
-from .errors import (
-    InstanceError,
-    NoSeedTerm,
-    RegimeError,
-    ReplacementExhausted,
-    ScheduleError,
-)
+from .errors import InstanceError, NoSeedTerm, RegimeError, ScheduleError
 from .model import (
     CacheLayout,
     SubpacketId,
@@ -72,9 +68,6 @@ __all__ = [
     "mn_subpacketization",
     "initial_codeword_terms",
     "tail_subroutine",
-    "rule",
-    "check",
-    "update",
     "generate_schedule",
     "closed_form_pairs",
 ]
@@ -194,83 +187,6 @@ def tail_subroutine(
         off = j * K // consts.arity
         terms.append(SubpacketId(wrap(1 + off, K), wrap(k + off, K)))
     return terms
-
-
-def rule(term: SubpacketId, flag: int, n_users: int) -> SubpacketId:
-    """One of the four replacement moves for an already-served term.
-
-    1: bump the packet, 2: bump the user, 3: drop the user, 4: drop the
-    packet -- all cyclically.
-    """
-    u, p = term
-    if flag == 1:
-        return SubpacketId(u, wrap(p + 1, n_users))
-    if flag == 2:
-        return SubpacketId(wrap(u + 1, n_users), p)
-    if flag == 3:
-        return SubpacketId(wrap(u - 1, n_users), p)
-    if flag == 4:
-        return SubpacketId(u, wrap(p - 1, n_users))
-    raise ValueError(f"replacement rule flag must be 1..4, got {flag}")
-
-
-def _compatible(
-    term: SubpacketId, others: Sequence[SubpacketId], layout: CacheLayout
-) -> bool:
-    """Mutual-caching test: XORing ``term`` with ``others`` stays decodable."""
-    u, p = term
-    for u2, p2 in others:
-        if not (layout.knows(u2, p) and layout.knows(u, p2)):
-            return False
-    return True
-
-
-def check(
-    term: SubpacketId,
-    layout: CacheLayout,
-    remaining: Collection[SubpacketId],
-    partial: Sequence[SubpacketId],
-) -> bool:
-    """Can ``term`` join the codeword built so far?
-
-    It must still be owed, and it must be mutually cached with every term
-    already present: each existing user caches the candidate packet and the
-    candidate user caches each existing packet.  A term never caches its own
-    packet, so a candidate equal to an existing term fails automatically.
-    """
-    return term in remaining and _compatible(term, partial, layout)
-
-
-def update(
-    term: SubpacketId,
-    remaining: Collection[SubpacketId],
-    layout: CacheLayout,
-    partial: Sequence[SubpacketId],
-    flag: int,
-) -> tuple[SubpacketId, int]:
-    """Replace a term that was already served in an earlier transmission.
-
-    With flag 0 the four rules are tried in order and the first candidate
-    that passes :func:`check` is returned together with its rule number;
-    :class:`ReplacementExhausted` is raised when none fits.  Once a rule has
-    fired, later replacements in the same codeword pair up with it: flags 1
-    and 3 advance to their partner rule (2 and 4), flags 2 and 4 fall back
-    to theirs (1 and 3), applied without re-checking.
-    """
-    K = layout.n_users
-    if flag == 0:
-        for k in (1, 2, 3, 4):
-            candidate = rule(term, k, K)
-            if check(candidate, layout, remaining, partial):
-                return candidate, k
-        raise ReplacementExhausted(f"no replacement rule fits dead term {term}")
-    if flag in (1, 3):
-        flag += 1
-    elif flag in (2, 4):
-        flag -= 1
-    else:
-        raise ValueError(f"replacement flag must be 0..4, got {flag}")
-    return rule(term, flag, K), flag
 
 
 @dataclass(frozen=True)
@@ -423,7 +339,11 @@ def _run_ahead(cell: int, free: int, adv: Sequence[int], n_users: int) -> int:
 
 
 def _rule_cell(cell: int, flag: int, n_users: int) -> int:
-    """:func:`rule` on an integer cell."""
+    """One of the four replacement moves for an already-served term.
+
+    1: bump the packet, 2: bump the user, 3: drop the user, 4: drop the
+    packet -- all cyclically.
+    """
     u, p = divmod(cell, n_users)
     if flag == 1:
         return u * n_users + (p + 1) % n_users
@@ -446,9 +366,10 @@ def _replacement_choices(
 ) -> list[tuple[int | None, int]]:
     """Ordered placement options for a term whose advance was already served.
 
-    The four local rules come first (partner rule leading once a pairing
-    flag is set), exactly what :func:`update` would try, so instances the
-    rule set can finish come out move for move.  When the rules dead-end
+    The four local rules of :func:`_rule_cell` come first, each only if
+    the cell it lands on is owed and fits the codeword.  Once a rule has
+    fired, later replacements in the same codeword try its partner rule
+    first (1 and 2 pair up, as do 3 and 4).  When the rules dead-end
     the term may re-seat on any still-owed sub-packet compatible with the
     codeword built so far; rescues prefer diagonals holding the most owed
     cells per committed term, then seats whose unobstructed run matches the
@@ -491,21 +412,29 @@ def _replacement_choices(
     return choices
 
 
+def _spacing(offset: int, n_users: int, stride: int) -> int:
+    """Least circular user distance between two terms on one diagonal.
+
+    Codeword terms sharing diagonal ``offset`` (packet minus user, mod K)
+    must be at least max(stride - gap, gap) users apart, where
+    gap = K - offset, so one codeword holds at most K // spacing of that
+    diagonal's cells.
+    """
+    gap = n_users - offset
+    return max(stride - gap, gap)
+
+
 def _diagonals_feasible(
     left_on: Sequence[int], steps: int, n_users: int, stride: int
 ) -> bool:
     """Necessary condition for finishing the owed cells in ``steps``.
 
-    ``left_on[d]`` counts the cells left on diagonal d (packet minus user,
-    mod K).  Codeword terms sharing a diagonal must keep a pairwise
-    circular distance of at least max(stride - gap, gap) where
-    gap = K - diagonal, so one transmission ships at most K // distance of
-    that diagonal's cells.
+    ``left_on[d]`` counts the cells left on diagonal d; one transmission
+    ships at most K // :func:`_spacing` of them.
     """
     for d, count in enumerate(left_on):
         if count:
-            gap = n_users - d
-            team = n_users // max(stride - gap, gap)
+            team = n_users // _spacing(d, n_users, stride)
             if -(-count // team) > steps:
                 return False
     return True
@@ -530,27 +459,47 @@ def _checked_tail(
     return built
 
 
-def _transversal_clique(
-    offsets: Sequence[int], ring: _Ring
+def _orbit_base(
+    offsets: Sequence[int],
+    m: int,
+    d: int,
+    first_anchors: Sequence[int],
+    anchors: Sequence[int],
+    ring: _Ring,
 ) -> list[int] | None:
-    """Lexicographically least clique with one cell on each listed diagonal.
+    """First base codeword with m cells spaced d apart on each diagonal.
 
-    A diagonal is the set of cells (u, u + offset mod K); advancing every
-    term of a codeword by one step keeps mutual caching intact, so one
-    such clique sweeps all its diagonals completely in K transmissions.
+    On diagonal ``offsets[k]`` the base holds the cells of users a, a+d,
+    ..., a+(m-1)d (mod K), for an anchor a taken from ``first_anchors`` on
+    the first diagonal and from ``anchors`` on the others.  Depth-first
+    over the anchors in the order given, checking every cell against all
+    cells chosen before it.  A diagonal is the set of cells
+    (u, u + offset mod K), and advancing every term of a codeword by one
+    step keeps mutual caching intact, so the shifts of one base sweep its
+    diagonals; the callers pick m, d and the anchors so that those shifts
+    cover each cell once.
     """
+    K = ring.n_users
+    compat = ring.compat
     chosen: list[int] = []
 
     def extend(idx: int, allowed: int) -> bool:
         if idx == len(offsets):
             return True
-        for u in range(ring.n_users):
-            cell = ring.on_diagonal(u, offsets[idx])
-            if allowed >> cell & 1:
-                chosen.append(cell)
-                if extend(idx + 1, allowed & ring.compat[cell]):
+        for a in anchors if idx else first_anchors:
+            cells = []
+            after = allowed
+            for l in range(m):
+                cell = ring.on_diagonal((a + l * d) % K, offsets[idx])
+                if not after >> cell & 1:
+                    break
+                cells.append(cell)
+                after &= compat[cell]
+            else:
+                chosen.extend(cells)
+                if extend(idx + 1, after):
                     return True
-                chosen.pop()
+                del chosen[-m:]
         return False
 
     return chosen if extend(0, _ANY_CELL) else None
@@ -571,13 +520,16 @@ def _conflicts(order: Sequence[int], ring: _Ring) -> list[int]:
     return conflicts
 
 
+# Restarts of the min-conflicts tiler, and the moves each restart may make.
+_MINCONF_SEEDS = 50
+_MINCONF_MOVES = 12_000
+
+
 def _tile_minconf(
     cells: Collection[int],
     n_cliques: int,
     arity: int,
     ring: _Ring,
-    n_seeds: int = 50,
-    n_moves: int = 12_000,
 ) -> list[tuple[int, ...]] | None:
     """Partition ``cells`` into ``n_cliques`` codewords by local search.
 
@@ -596,7 +548,7 @@ def _tile_minconf(
         return None
     adj = _conflicts(order, ring)
     floor_size = max(1, n - arity * (n_cliques - 1))
-    for seed in range(n_seeds):
+    for seed in range(_MINCONF_SEEDS):
         rng = random.Random(seed)
         deal = list(range(n))
         rng.shuffle(deal)
@@ -622,7 +574,7 @@ def _tile_minconf(
                 else:
                     conflicted.discard(x)
 
-        for _ in range(n_moves):
+        for _ in range(_MINCONF_MOVES):
             if not conflicted:
                 return [
                     tuple(order[b] for b in members[j])
@@ -735,7 +687,11 @@ def _spaced_run_cover(
                 if math.gcd(d, K) != 1:
                     continue
                 if (m, d) not in bases:
-                    bases[m, d] = _spaced_base(offsets, m, d, ring)
+                    # Any shift of a spaced-run cover is another one, so
+                    # the first diagonal's run may start at user 1.
+                    bases[m, d] = _orbit_base(
+                        offsets, m, d, [0], range(K), ring
+                    )
                 base = bases[m, d]
                 if base is None:
                     continue
@@ -746,47 +702,6 @@ def _spaced_run_cover(
                 if built is not None:
                     return built
     return None
-
-
-def _spaced_base(
-    offsets: Sequence[int], m: int, d: int, ring: _Ring
-) -> list[int] | None:
-    """Base codeword with m cells spaced d apart on each listed diagonal.
-
-    The first diagonal is anchored at user 1: any shift of a full spaced
-    run cover is another one, so nothing is lost.  Depth-first over the
-    remaining anchors, keeping every partial choice mutually compatible.
-    """
-    K = ring.n_users
-    chosen: list[int] = []
-
-    def block(anchor: int, off: int, allowed: int) -> tuple[list[int], int] | None:
-        """The block's cells and the cells still allowed after them."""
-        cells = []
-        for l in range(m):
-            cell = ring.on_diagonal((anchor + l * d) % K, off)
-            if not allowed >> cell & 1:
-                return None
-            cells.append(cell)
-            allowed &= ring.compat[cell]
-        return cells, allowed
-
-    def extend(idx: int, allowed: int) -> bool:
-        if idx == len(offsets):
-            return True
-        anchors = [0] if idx == 0 else range(K)
-        for a in anchors:
-            found = block(a, offsets[idx], allowed)
-            if found is None:
-                continue
-            cells, after = found
-            chosen.extend(cells)
-            if extend(idx + 1, after):
-                return True
-            del chosen[-m:]
-        return False
-
-    return chosen if extend(0, _ANY_CELL) else None
 
 
 def _spaced_assemble(
@@ -858,104 +773,6 @@ def _spaced_assemble(
     return [tuple(sorted(c)) for c in cliques + extra_cliques]
 
 
-def _tile_milp(
-    cells: Collection[int],
-    n_cliques: int,
-    arity: int,
-    ring: _Ring,
-) -> list[tuple[int, ...]] | None:
-    """Exact partition into compatible codewords via integer programming.
-
-    One binary per (cell, codeword slot): every cell sits in exactly one
-    slot, every slot holds between one and ``arity`` cells, and the two
-    members of every incompatible cell pair exclude each other within each
-    slot.  Slot-permutation symmetry would drown the solver, so the first
-    cell is pinned to the first slot and precedence rows let a slot host a
-    cell only when the previous slot hosts a lower-numbered one.  scipy's
-    HiGHS backend solves the program single-threaded, so the returned
-    partition is reproducible.
-    """
-    import numpy as np
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    order = sorted(set(cells))
-    n = len(order)
-    n_vars = n * n_cliques
-    if not n or arity * n_cliques < n or n_vars > 60_000:
-        return None
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    row = 0
-    lo: list[float] = []
-    hi: list[float] = []
-
-    def put(r: int, c: int, v: float) -> None:
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    for c in range(n):
-        for j in range(n_cliques):
-            put(row, c * n_cliques + j, 1.0)
-        lo.append(1.0)
-        hi.append(1.0)
-        row += 1
-    for j in range(n_cliques):
-        for c in range(n):
-            put(row, c * n_cliques + j, 1.0)
-        lo.append(1.0)
-        hi.append(float(arity))
-        row += 1
-    conflicts = _conflicts(order, ring)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if conflicts[a] >> b & 1:
-                for j in range(n_cliques):
-                    put(row, a * n_cliques + j, 1.0)
-                    put(row, b * n_cliques + j, 1.0)
-                    lo.append(0.0)
-                    hi.append(1.0)
-                    row += 1
-    for c in range(1, n):
-        for j in range(1, n_cliques):
-            put(row, c * n_cliques + j, 1.0)
-            for earlier in range(c):
-                put(row, earlier * n_cliques + j - 1, -1.0)
-            lo.append(-float(n))
-            hi.append(0.0)
-            row += 1
-    matrix = sparse.csc_array(
-        (vals, (rows, cols)), shape=(row, n_vars)
-    )
-    lower = np.zeros(n_vars)
-    upper = np.ones(n_vars)
-    lower[0] = 1.0
-    upper[1:n_cliques] = 0.0
-    result = milp(
-        c=np.zeros(n_vars),
-        constraints=LinearConstraint(matrix, np.array(lo), np.array(hi)),
-        integrality=np.ones(n_vars),
-        bounds=Bounds(lower, upper),
-    )
-    if result.status != 0:
-        return None
-    chosen = np.round(result.x).astype(int)
-    built = []
-    for j in range(n_cliques):
-        built.append(
-            tuple(
-                sorted(
-                    order[c]
-                    for c in range(n)
-                    if chosen[c * n_cliques + j]
-                )
-            )
-        )
-    return built
-
-
 def _tile_leftover(
     offsets: Sequence[int],
     n_cliques: int,
@@ -966,18 +783,15 @@ def _tile_leftover(
     """Tile a union of full diagonals into exactly ``n_cliques`` codewords.
 
     Tries the structured spaced-run cover first; most instances that reach
-    this point have one.  The irregular rest usually falls to the
-    min-conflicts local search within a few restarts, and whatever
-    survives that goes to the integer-programming tiler, which is slower
-    but complete.
+    this point have one.  The irregular rest falls to the min-conflicts
+    local search, which returns None when all its restarts stall.
     """
     K = ring.n_users
 
     def min_cliques(offs: Sequence[int]) -> int:
         lo = -(-len(offs) * K // arity)
         for off in offs:
-            gap = K - off
-            team = min(arity, K // max(stride - gap, gap))
+            team = min(arity, K // _spacing(off, K, stride))
             lo = max(lo, -(-K // team))
         return lo
 
@@ -989,43 +803,7 @@ def _tile_leftover(
     if built is not None:
         return built
     cells = [ring.on_diagonal(u, off) for off in offsets for u in range(K)]
-    built = _tile_minconf(cells, n_cliques, arity, ring)
-    if built is not None:
-        return built
-    return _tile_milp(cells, n_cliques, arity, ring)
-
-
-def _block_clique(
-    offsets: Sequence[int], mult: int, ring: _Ring
-) -> list[int] | None:
-    """Base codeword holding ``mult`` evenly spaced cells per diagonal.
-
-    Cells on diagonal ``off`` sit at users a, a+K/mult, a+2K/mult, ...; the
-    K/mult distinct shifts of such a codeword cover every listed diagonal
-    exactly once.  Depth-first over the per-diagonal anchors ``a``.
-    """
-    period = ring.n_users // mult
-    chosen: list[int] = []
-
-    def extend(idx: int, allowed: int) -> bool:
-        if idx == len(offsets):
-            return True
-        for a in range(period):
-            cells = [
-                ring.on_diagonal(a + j * period, offsets[idx])
-                for j in range(mult)
-            ]
-            if all(allowed >> c & 1 for c in cells):
-                after = allowed
-                for c in cells:
-                    after &= ring.compat[c]
-                chosen.extend(cells)
-                if extend(idx + 1, after):
-                    return True
-                del chosen[-mult:]
-        return False
-
-    return chosen if extend(0, _ANY_CELL) else None
+    return _tile_minconf(cells, n_cliques, arity, ring)
 
 
 def _coset_cover(
@@ -1037,7 +815,7 @@ def _coset_cover(
     of K, with coset spacing K/m no tighter than the diagonal's minimum),
     packs diagonals of equal multiplicity into blocks of at most
     floor(arity/m), and sweeps each block with the K/m shifts of one base
-    codeword from :func:`_block_clique`.  A multiplicity profile is usable
+    codeword from :func:`_orbit_base`.  A multiplicity profile is usable
     only when the block counts add up to exactly the required number of
     transmissions; all profiles are enumerated and the first that also
     admits base codewords wins.
@@ -1047,8 +825,7 @@ def _coset_cover(
     offsets = list(range(i, K))
 
     def cap(off: int) -> int:
-        gap = K - off
-        return K // max(stride - gap, gap)
+        return K // _spacing(off, K, stride)
 
     by_cap = sorted(offsets, key=lambda off: (cap(off), off))
     caps = [cap(off) for off in by_cap]
@@ -1093,13 +870,14 @@ def _coset_cover(
         for m in sorted(assigned):
             group = sorted(assigned[m])
             width = arity // m
+            period = range(K // m)
             for g in range(0, len(group), width):
                 block = group[g : g + width]
-                base = _block_clique(block, m, ring)
+                base = _orbit_base(block, m, K // m, period, period, ring)
                 if base is None:
                     feasible = False
                     break
-                for s in range(K // m):
+                for s in period:
                     codewords.append(tuple(ring.shift(c, s) for c in base))
             if not feasible:
                 break
@@ -1134,11 +912,9 @@ def _orbit_schedule(
     n_groups = len(offsets) // arity
     n_loose = len(offsets) % arity
 
-    def min_spacing(off: int) -> int:
-        gap = K - off
-        return max(stride - gap, gap)
-
-    by_spacing = sorted(offsets, key=lambda off: (min_spacing(off), off))
+    by_spacing = sorted(
+        offsets, key=lambda off: (_spacing(off, K, stride), off)
+    )
     loose = sorted(by_spacing[:n_loose])
     grouped = sorted(by_spacing[n_loose:])
 
@@ -1160,14 +936,13 @@ def _orbit_schedule(
                 groupings = [[]]
             for groups in groupings:
                 transversals = [
-                    _transversal_clique(g, ring) for g in groups
+                    _orbit_base(g, 1, 1, range(K), range(K), ring)
+                    for g in groups
                 ]
                 if any(t is None for t in transversals):
                     continue
                 codewords = []
                 for trans in transversals:
-                    if trans is None:
-                        continue
                     for s in range(K):
                         codewords.append(tuple(ring.shift(c, s) for c in trans))
                 codewords.extend(tiled)

@@ -13,10 +13,6 @@ class RegimeError(CacheCodeError):
     """An operation was called outside the parameter regime it covers."""
 
 
-class ReplacementExhausted(CacheCodeError):
-    """No replacement rule produced a usable substitute for a served term."""
-
-
 class NoSeedTerm(CacheCodeError):
     """The tail subroutine found no remaining demand of user 1 to seed from."""
 

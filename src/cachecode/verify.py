@@ -177,6 +177,10 @@ def random_file_store(
     params: SystemParams, seed: int, subpacket_size: int = 1
 ) -> FileStore:
     """A deterministic random library: N files of K*subpacket_size bytes."""
+    if subpacket_size < 1:
+        raise InstanceError(
+            f"sub-packets need at least one byte, got {subpacket_size}"
+        )
     rng = random.Random(seed)
     size = params.n_users * subpacket_size
     files = tuple(rng.randbytes(size) for _ in range(params.n_files))

@@ -222,6 +222,21 @@ class TestExitCodesAndOutput:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_non_positive_subpacket_size_is_a_usage_error(self, capsys, size):
+        code, out, err = run(
+            capsys, "simulate", "--K", "6", "--i", "4",
+            "--subpacket-bytes", size,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("K", ["0", "-2"])
+    def test_rate_curve_rejects_non_positive_user_counts(self, capsys, K):
+        code, out, err = run(capsys, "rate-curve", "--K", K, "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_out_flag_writes_the_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
         target = tmp_path / "schedule.json"
         code, out, err = run(

@@ -1,37 +1,37 @@
 """Unit tests for delivery: scheme constants, rate formulas, the seed
-codeword, replacement rules, schedule generation, and the pairwise
-closed form."""
+codeword, replacement rules, schedule generation, the orbit fallbacks, and
+the pairwise closed form."""
 
 import logging
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cachecode import delivery
 from cachecode.delivery import (
     _SWEEP_NODE_BUDGET,
+    _ANY_CELL,
     _Ring,
+    _replacement_choices,
+    _rule_cell,
     _solve_schedule,
+    _spacing,
     closed_form_pairs,
     generate_schedule,
     initial_codeword_terms,
     mn_rate,
     mn_subpacketization,
     rate,
-    rule,
     scheme_constants,
     tail_subroutine,
-    check,
-    update,
 )
-from cachecode.errors import (
-    InstanceError,
-    NoSeedTerm,
-    RegimeError,
-    ReplacementExhausted,
-)
+from cachecode.errors import InstanceError, NoSeedTerm, RegimeError
 from cachecode.model import (
     SubpacketId,
     SystemParams,
@@ -205,100 +205,74 @@ class TestTailSubroutine:
             tail_subroutine(remaining, instance(5, 2))
 
 
+def moved(term: SubpacketId, flag: int, K: int) -> SubpacketId:
+    """``_rule_cell`` applied to a sub-packet id."""
+    u, p = divmod(_rule_cell((term.user - 1) * K + term.packet - 1, flag, K), K)
+    return SubpacketId(u + 1, p + 1)
+
+
 class TestReplacementRules:
     def test_the_four_moves(self):
         term = SubpacketId(3, 5)
-        assert rule(term, 1, 6) == SubpacketId(3, 6)
-        assert rule(term, 2, 6) == SubpacketId(4, 5)
-        assert rule(term, 3, 6) == SubpacketId(2, 5)
-        assert rule(term, 4, 6) == SubpacketId(3, 4)
+        assert moved(term, 1, 6) == SubpacketId(3, 6)
+        assert moved(term, 2, 6) == SubpacketId(4, 5)
+        assert moved(term, 3, 6) == SubpacketId(2, 5)
+        assert moved(term, 4, 6) == SubpacketId(3, 4)
 
     def test_moves_wrap_around(self):
-        assert rule(SubpacketId(1, 6), 1, 6) == SubpacketId(1, 1)
-        assert rule(SubpacketId(6, 2), 2, 6) == SubpacketId(1, 2)
-        assert rule(SubpacketId(1, 2), 3, 6) == SubpacketId(6, 2)
-        assert rule(SubpacketId(3, 1), 4, 6) == SubpacketId(3, 6)
-
-    def test_rejects_unknown_flags(self):
-        with pytest.raises(ValueError):
-            rule(SubpacketId(1, 1), 0, 6)
-        with pytest.raises(ValueError):
-            rule(SubpacketId(1, 1), 5, 6)
+        assert moved(SubpacketId(1, 6), 1, 6) == SubpacketId(1, 1)
+        assert moved(SubpacketId(6, 2), 2, 6) == SubpacketId(1, 2)
+        assert moved(SubpacketId(1, 2), 3, 6) == SubpacketId(6, 2)
+        assert moved(SubpacketId(3, 1), 4, 6) == SubpacketId(3, 6)
 
 
-class TestCheck:
+class TestReplacementChoices:
+    """The placement options of a served term, on K=6, i=4."""
+
     def setup_method(self):
-        self.params = instance(6, 4)
-        self.layout = build_cache_layout(self.params)
-        self.remaining = set(build_demand_list(self.params))
+        self.ring = _Ring(build_cache_layout(instance(6, 4)))
+        self.owed = set(build_demand_list(instance(6, 4)))
 
-    def test_served_terms_fail(self):
+    def choices(self, dead, flag, owed=None):
+        ring = self.ring
+        cells = [ring.cell(t) for t in (self.owed if owed is None else owed)]
+        owed_on = [0] * 6
+        for c in cells:
+            owed_on[ring.diag[c]] += 1
+        options = _replacement_choices(
+            ring.cell(dead), flag, ring, sum(1 << c for c in cells),
+            owed_on, [], _ANY_CELL, 3,
+        )
+        return [
+            (None if c is None else ring.terms[c], k) for c, k in options
+        ]
+
+    def test_unset_flag_tries_the_rules_in_order(self):
+        # (1,4) is cached by user 1; rules 2 and 4 land on cached cells.
+        options = self.choices(SubpacketId(1, 4), 0)
+        assert options[:2] == [(SubpacketId(1, 5), 1), (SubpacketId(6, 4), 3)]
+
+    def test_rules_landing_on_served_cells_are_skipped(self):
         served = SubpacketId(1, 5)
-        assert not check(served, self.layout, self.remaining - {served}, [])
+        options = self.choices(SubpacketId(1, 4), 0, self.owed - {served})
+        assert options[0] == (SubpacketId(6, 4), 3)
+        assert (served, 1) not in options
 
-    def test_mutually_cached_pair_passes(self):
-        # User 1 caches packet 1, user 2 caches packet 5.
-        assert check(
-            SubpacketId(2, 1), self.layout, self.remaining, [SubpacketId(1, 5)]
-        )
+    @pytest.mark.parametrize(
+        "flag,first", [(1, (SubpacketId(4, 2), 2)), (3, (SubpacketId(3, 1), 4))]
+    )
+    def test_a_set_flag_tries_its_partner_rule_first(self, flag, first):
+        assert self.choices(SubpacketId(3, 2), flag)[0] == first
 
-    def test_empty_codeword_accepts_any_owed_term(self):
-        assert check(SubpacketId(3, 2), self.layout, self.remaining, [])
+    def test_rescues_follow_the_rules_and_abandoning_comes_last(self):
+        options = self.choices(SubpacketId(1, 4), 0)
+        seats = [term for term, _ in options[:-1]]
+        assert len(seats) == len(set(seats)) == len(self.owed)
+        assert all(k == 0 for _, k in options[2:-1])
+        assert options[-1] == (None, 0)
 
-    def test_one_sided_knowledge_fails(self):
-        # (6,4) is owed and user 1 caches packet 4, but user 6 does not
-        # cache packet 5, so the pair cannot share a transmission.
-        assert SubpacketId(6, 4) in self.remaining
-        assert not check(
-            SubpacketId(6, 4), self.layout, self.remaining, [SubpacketId(1, 5)]
-        )
-
-
-class TestUpdate:
-    def setup_method(self):
-        self.params = instance(6, 4)
-        self.layout = build_cache_layout(self.params)
-        self.remaining = set(build_demand_list(self.params))
-
-    def test_unset_flag_takes_the_first_fitting_rule(self):
-        dead = SubpacketId(1, 4)  # cached by user 1, so never demanded
-        term, flag = update(dead, self.remaining, self.layout, [], 0)
-        assert (term, flag) == (SubpacketId(1, 5), 1)
-
-    def test_unset_flag_skips_rules_that_fail(self):
-        # (1,5) already served: rule 1 lands on it and must be skipped;
-        # rule 2 gives (2,4), cached by user 2; rule 3 gives (6,4), owed.
-        dead = SubpacketId(1, 4)
-        remaining = self.remaining - {SubpacketId(1, 5)}
-        term, flag = update(dead, remaining, self.layout, [], 0)
-        assert (term, flag) == (SubpacketId(6, 4), 3)
-
-    def test_set_flags_pair_up_without_rechecking(self):
-        dead = SubpacketId(3, 2)
-        assert update(dead, self.remaining, self.layout, [], 1) == (
-            SubpacketId(4, 2),
-            2,
-        )
-        assert update(dead, self.remaining, self.layout, [], 2) == (
-            SubpacketId(3, 3),
-            1,
-        )
-        assert update(dead, self.remaining, self.layout, [], 3) == (
-            SubpacketId(3, 1),
-            4,
-        )
-        assert update(dead, self.remaining, self.layout, [], 4) == (
-            SubpacketId(2, 2),
-            3,
-        )
-
-    def test_rejects_unknown_flags(self):
-        with pytest.raises(ValueError):
-            update(SubpacketId(1, 4), self.remaining, self.layout, [], 5)
-
-    def test_exhaustion_raises(self):
-        with pytest.raises(ReplacementExhausted):
-            update(SubpacketId(1, 4), set(), self.layout, [], 0)
+    def test_nothing_owed_leaves_only_abandoning(self):
+        assert self.choices(SubpacketId(1, 4), 2, set()) == [(None, 2)]
 
 
 class TestGenerateSchedule:
@@ -452,3 +426,99 @@ class TestSweepNodeBudget:
         with caplog.at_level(logging.DEBUG, logger="cachecode.delivery"):
             self.solve(K, i)
         assert caplog.messages == [f"sweep for K={K}, i={i} {outcome}"]
+
+
+class TestSpacing:
+    @pytest.mark.parametrize("K", range(2, 17))
+    def test_no_closer_pair_on_a_diagonal_is_compatible(self, K):
+        for i in range(1, K):
+            params = instance(K, i)
+            stride = scheme_constants(params).stride
+            ring = _Ring(build_cache_layout(params))
+            for off in range(i, K):
+                spacing = _spacing(off, K, stride)
+                fits = ring.compat[ring.on_diagonal(0, off)]
+                for user in range(1, K):
+                    if min(user, K - user) < spacing:
+                        assert not fits >> ring.on_diagonal(user, off) & 1
+
+
+def orbit_construction(K, i, monkeypatch):
+    """Which orbit construction finished ``generate_schedule`` for (K, i).
+
+    Wraps the constructions, logs the first argument of each call that
+    found something, and reads the winner off the log: the coset cover;
+    else the last diagonal tiling, of the whole owed region (which only
+    follows failed transversal groupings) or of the loose diagonals (by
+    spaced run or min-conflicts, whichever ran last); else the transversal
+    orbits alone, striped or chunked.
+    """
+    n_groups = (K - i) // scheme_constants(instance(K, i)).arity
+    found = []
+
+    def spy(name):
+        real = getattr(delivery, name)
+
+        def wrapper(*args):
+            built = real(*args)
+            if built is not None:
+                found.append((name, args[0]))
+            return built
+
+        monkeypatch.setattr(delivery, name, wrapper)
+
+    for name in (
+        "_coset_cover",
+        "_orbit_base",
+        "_spaced_run_cover",
+        "_tile_minconf",
+        "_tile_leftover",
+    ):
+        spy(name)
+    generate_schedule(instance(K, i))
+    names = [name for name, _ in found]
+    if "_coset_cover" in names:
+        return "coset"
+    tiled = [offsets for name, offsets in found if name == "_tile_leftover"]
+    if n_groups and len(tiled[-1]) == K - i:
+        return "whole-region tiling"
+    if tiled[-1]:
+        tilers = [n for n in names if n in ("_spaced_run_cover", "_tile_minconf")]
+        return "spaced run" if tilers[-1] == "_spaced_run_cover" else "min-conflicts"
+    groups = [offsets for name, offsets in found if name == "_orbit_base"]
+    striped = any(b - a != 1 for g in groups[-n_groups:] for a, b in zip(g, g[1:]))
+    return "striped transversals" if striped else "chunked transversals"
+
+
+class TestOrbitConstructions:
+    """Each orbit construction finishes at least one K <= 24 instance."""
+
+    @pytest.mark.parametrize(
+        "K,i,construction",
+        [
+            (14, 11, "coset"),
+            (19, 10, "striped transversals"),
+            (19, 13, "spaced run"),
+            (13, 10, "min-conflicts"),
+            (22, 16, "whole-region tiling"),
+        ],
+    )
+    def test_construction_is_reached(self, K, i, construction, monkeypatch):
+        assert orbit_construction(K, i, monkeypatch) == construction
+
+
+def test_generation_imports_neither_numpy_nor_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from cachecode import SystemParams, generate_schedule, "
+        "min_pair_transmissions\n"
+        "generate_schedule(SystemParams(13, 13, 10))\n"
+        "min_pair_transmissions(SystemParams(8, 8, 3))\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
