@@ -59,9 +59,13 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.perf_counter() - start
 
     consts = schedule.constants
-    print(f"\nschedule: {schedule.n_transmissions} transmissions of up to "
-          f"{consts.arity} terms (stride {consts.stride}), "
-          f"built in {elapsed * 1000:.1f} ms")
+    if consts is None:
+        print(f"\nschedule: every user caches every sub-packet, so no "
+              f"transmission is needed (built in {elapsed * 1000:.1f} ms)")
+    else:
+        print(f"\nschedule: {schedule.n_transmissions} transmissions of up to "
+              f"{consts.arity} terms (stride {consts.stride}), "
+              f"built in {elapsed * 1000:.1f} ms")
     for index, codeword in enumerate(schedule.codewords):
         body = " + ".join(f"w[d{u},{p}]" for u, p in codeword)
         print(f"  t{index:>3}: {body}")

@@ -19,8 +19,6 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import networkx as nx
-
 from .delivery import TransmissionSchedule, generate_schedule
 from .errors import InstanceError, RegimeError, SimulationMismatch
 from .model import (
@@ -303,6 +301,10 @@ def min_pair_transmissions(
     computed here with a blossom matching -- deliberately independent of the
     schedule generators it serves as an oracle for.  Kept to K <= 8.
     """
+    # Only this oracle needs networkx; a top-level import would make every
+    # CLI command pay for it.
+    import networkx as nx
+
     K, i = params.n_users, params.cache_units
     if K > 8:
         raise InstanceError(f"exact pair search is limited to K <= 8, got {K}")

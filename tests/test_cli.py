@@ -2,12 +2,14 @@
 formats, exit codes, and byte determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
 from cachecode.cli import main
+from cachecode.errors import ScheduleError
 
 GOLDEN_6_4 = (
     {(1, 5), (2, 1), (4, 2), (5, 4)},
@@ -245,6 +247,15 @@ class TestExitCodesAndOutput:
         assert code == 0 and out == "" and err == ""
         assert json.loads(target.read_text())["lambda"] == 3
 
+    def test_out_into_a_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "x.json"
+        code, out, err = run(
+            capsys, "schedule", "--K", "6", "--i", "4", "--out", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not target.parent.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -263,3 +274,93 @@ class TestExitCodesAndOutput:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes()
+
+
+# Every subcommand and format, the --N/--demand/--verify/--seed/--grid
+# variants, a min-conflicts fallback instance (13:10), the typed-error exits
+# and argparse usage errors.  Their exit codes, output bytes and stderr are
+# hashed together, so output that drifts in a refactor fails here, which two
+# runs of the same code cannot show.
+PIN_MATRIX = [
+    ("schedule", "--K", "6", "--i", "4"),
+    ("schedule", "--K", "6", "--N", "8", "--i", "4", "--format", "csv"),
+    ("schedule", "--K", "7", "--i", "5", "--demand", "1,1,2,2,3,3,4"),
+    ("schedule", "--K", "6", "--i", "4", "--demand", "random:7", "--verify"),
+    ("schedule", "--K", "8", "--i", "3", "--format", "csv", "--verify"),
+    ("schedule", "--K", "5", "--i", "5"),
+    ("schedule", "--K", "13", "--i", "10"),
+    ("verify", "--K", "9", "--i", "6"),
+    ("verify", "--K", "7", "--N", "9", "--i", "3", "--demand", "random:3"),
+    ("simulate", "--K", "7", "--i", "4", "--seed", "5", "--subpacket-bytes", "3"),
+    ("simulate", "--K", "6", "--N", "9", "--i", "2", "--demand", "9,8,7,6,5,4"),
+    ("rate-curve", "--K", "6"),
+    ("rate-curve", "--K", "5", "--N", "3", "--format", "json"),
+    ("ccdn-bound", "--K", "10", "--L", "6"),
+    ("ccdn-bound", "--K", "9", "--N", "12", "--L", "7", "--grid", "7",
+     "--format", "json"),
+    ("optimality-table", "--K", "12"),
+    ("optimality-table", "--K", "7", "--format", "json"),
+    ("optimality-table", "--K", "5", "--format", "csv"),
+    # typed errors: exit 2
+    ("schedule", "--K", "6", "--i", "7"),
+    ("schedule", "--K", "6", "--N", "3", "--i", "4"),
+    ("schedule", "--K", "6", "--i", "4", "--demand", "1,2,3"),
+    ("verify", "--K", "6", "--i", "4", "--demand", "random:x"),
+    ("simulate", "--K", "6", "--i", "4", "--subpacket-bytes", "0"),
+    ("rate-curve", "--K", "0"),
+    ("ccdn-bound", "--K", "10", "--L", "4"),
+    ("ccdn-bound", "--K", "10", "--L", "6", "--grid", "1"),
+    # argparse usage errors: SystemExit(2)
+    ("schedule", "--K", "6"),
+    ("verify", "--K", "6", "--i", "4", "--format", "csv"),
+    ("simulate", "--K", "6", "--i", "4", "--format", "csv"),
+    ("ccdn-bound", "--K", "10"),
+    ("rate-curve", "--K", "x"),
+    ("rate-curve", "--K", "6", "--i", "2"),
+    ("nonsense",),
+]
+PIN_DIGEST = "dc566683621acf8fd0fe720e4f3d928ebf656e87eeb4f036ab78102c394fca26"
+# argparse help layout differs between Python versions; pinned on 3.11.
+HELP_DIGEST = "9f08caa356c62e5e58e0664afc13a5d69006f7f0275ce70d46e6ccc59517aaba"
+
+
+def pinned_run(capsys, argv, out=None) -> bytes:
+    """One invocation as bytes: argv, exit code, stdout, stderr, --out file."""
+    try:
+        code = main([*argv, *(["--out", str(out)] if out else [])])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    written = b"<none>"
+    if out and out.exists():
+        written = out.read_bytes()
+        out.unlink()
+    record = [" ".join(argv), str(code), captured.out, captured.err]
+    return "\x1f".join(record).encode() + b"\x1f" + written + b"\x1e"
+
+
+class TestPinnedBytes:
+    def test_command_matrix_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        target = tmp_path / "out.txt"
+        digest = hashlib.sha256()
+        for argv in PIN_MATRIX:
+            digest.update(pinned_run(capsys, argv, target))
+        for argv in [*PIN_MATRIX[:3], ()]:
+            digest.update(pinned_run(capsys, argv))
+
+        def no_schedule(params, demands=None):
+            raise ScheduleError("no schedule found")
+
+        monkeypatch.setattr("cachecode.cli.generate_schedule", no_schedule)
+        digest.update(pinned_run(capsys, ("schedule", "--K", "6", "--i", "4"), target))
+        digest.update(pinned_run(capsys, ("verify", "--K", "6", "--i", "4"), target))
+        assert digest.hexdigest() == PIN_DIGEST
+
+    def test_help_text_is_pinned(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        digest = hashlib.sha256()
+        for command in ["", "schedule", "verify", "simulate", "rate-curve",
+                        "ccdn-bound", "optimality-table"]:
+            digest.update(pinned_run(capsys, [*command.split(), "--help"]))
+        assert digest.hexdigest() == HELP_DIGEST

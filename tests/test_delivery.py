@@ -507,18 +507,23 @@ class TestOrbitConstructions:
         assert orbit_construction(K, i, monkeypatch) == construction
 
 
-def test_generation_imports_neither_numpy_nor_scipy():
+def test_generation_imports_neither_numpy_nor_scipy(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "from cachecode import SystemParams, generate_schedule, "
         "min_pair_transmissions\n"
+        "from cachecode.cli import main\n"
         "generate_schedule(SystemParams(13, 13, 10))\n"
+        "main(['schedule', '--K', '6', '--i', '4', '--verify', '--out', 'x'])\n"
+        "main(['simulate', '--K', '6', '--i', '4', '--out', 'x'])\n"
+        "print(sorted({'networkx', 'numpy', 'scipy'} & set(sys.modules)))\n"
         "min_pair_transmissions(SystemParams(8, 8, 3))\n"
         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=tmp_path,
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n"

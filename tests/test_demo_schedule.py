@@ -1,0 +1,27 @@
+"""``scripts/demo_schedule.py`` runs to the end, also where no transmission
+is needed (i = K)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "demo_schedule.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("demo_schedule", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+demo_script = load_script()
+
+
+@pytest.mark.parametrize("K, i", [(5, 5), (6, 4)])
+def test_demo_walks_through_the_instance(capsys, K, i):
+    assert demo_script.main(["--K", str(K), "--i", str(i)]) == 0
+    out = capsys.readouterr().out
+    assert "verifier: decodable=True coverage=True" in out
+    assert "rebuilt its file bit for bit: True" in out
