@@ -3,7 +3,8 @@
 
 Prints the cyclic placement, the demanded sub-packets, the generated XOR
 schedule with its rate, the verifier's report, and a bit-exact delivery
-simulation on a seeded random library.  Example:
+simulation on a seeded random library.  An invalid instance ends in one
+``error:`` line on stderr and exit 2.  Example:
 
     python scripts/demo_schedule.py --K 6 --i 4
     python scripts/demo_schedule.py --K 13 --i 9 --seed 3
@@ -16,6 +17,7 @@ import sys
 import time
 
 from cachecode import (
+    CacheCodeError,
     SystemParams,
     build_cache_layout,
     generate_schedule,
@@ -39,7 +41,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--N", type=int, default=None, help="number of files (default K)")
     parser.add_argument("--seed", type=int, default=0, help="library contents seed")
     args = parser.parse_args(argv)
+    try:
+        return walk(args)
+    except CacheCodeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def walk(args: argparse.Namespace) -> int:
+    """Print every stage for the parsed instance; 0 iff all checks pass."""
     params = SystemParams(
         n_files=args.N if args.N is not None else args.K,
         n_users=args.K,

@@ -266,6 +266,11 @@ def cmd_ccdn_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_optimality_table(args: argparse.Namespace) -> int:
+    if args.n_files != args.n_users:
+        raise InstanceError(
+            f"the optimality table is for N = K; got N={args.n_files}, "
+            f"K={args.n_users}"
+        )
     rows = optimality_table(args.n_users)
     if args.fmt == "table":
         lines = [f"K = {args.n_users}  (memory M = N/K)"]

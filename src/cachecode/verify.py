@@ -6,7 +6,9 @@ Three independent ways to gain confidence in a schedule:
   companion sub-packets (so each transmission is useful immediately) and
   that the codewords partition exactly the demanded sub-packets;
 * an end-to-end simulation that XORs real bytes, decodes at every user from
-  cache plus received transmissions only, and compares files bit for bit;
+  cache plus received transmissions only, and compares files bit for bit
+  (it holds each sub-packet as the big-endian int of its bytes, so an int
+  XOR is the bytewise XOR);
 * an exact minimizer over schedules restricted to two-term codewords, built
   on maximum matching rather than on the generators it cross-checks.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -185,13 +188,6 @@ def random_file_store(
     return FileStore(files, params.n_users)
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError(f"cannot XOR {len(a)} bytes with {len(b)} bytes")
-    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return x.to_bytes(len(a), "big")
-
-
 def simulate_end_to_end(
     params: SystemParams,
     demands: Sequence[int],
@@ -204,14 +200,24 @@ def simulate_end_to_end(
 ) -> bool:
     """Run placement, delivery, and decoding on real bytes.
 
-    Caches are filled from the layout (packet slices of every file), each
-    codeword becomes the XOR of the demanded slices it combines, and every
-    user then decodes using only its cache and the broadcast payloads:
-    whenever a codeword has exactly one slice the user does not know, the
-    known ones are cancelled and the leftover is learned.  One pass suffices
-    for a decodable schedule; needing more is logged as a warning because it
-    signals a decodability violation.  Returns True iff every user's
-    reassembled file equals its demanded file bit for bit.  With
+    Each sub-packet slice is taken as the big-endian int of its bytes,
+    converted once, the first time a codeword needs it; a codeword's payload
+    is the XOR of the demanded slices it combines.  Every user then decodes
+    using only its cache (the layout's packets of every file) and the
+    broadcast payloads: whenever a codeword has exactly one slice the user
+    does not know, the known ones are cancelled and the leftover is learned.
+
+    One pass suffices for a decodable schedule; needing more is logged as a
+    warning because it signals a decodability violation.  Each user first
+    makes one pass over its own codewords, found through a per-user index in
+    schedule order.  If that completes its file, so would a first pass over
+    every codeword, which scans a superset in the same order while knowledge
+    only grows.  Otherwise the user starts over with passes over the whole
+    schedule, until its file is complete or a pass learns nothing.
+
+    Returns True iff every user's reassembled file equals its demanded file
+    bit for bit: each learned slice is compared with the int of the stored
+    slice, which at a fixed length determines the bytes.  With
     ``strict=True`` the first failure raises :class:`SimulationMismatch`
     naming the user and packet; ``seed`` is echoed in that message so runs
     can be reproduced.
@@ -232,12 +238,34 @@ def simulate_end_to_end(
         layout = build_cache_layout(params)
     if schedule is None:
         schedule = generate_schedule(params, demands)
+    size = store.subpacket_size
+    slices: dict[tuple[int, int], int] = {}
+
+    def slice_int(key: tuple[int, int]) -> int:
+        value = slices.get(key)
+        if value is None:
+            data = store.subpacket(*key)
+            # A packet index outside 1..K slices short of a sub-packet.
+            if len(data) != size:
+                raise ValueError(
+                    f"cannot XOR {size} bytes with {len(data)} bytes"
+                )
+            value = slices[key] = int.from_bytes(data, "big")
+        return value
+
+    codewords = [
+        [(demands[u - 1], p) for u, p in cw] for cw in schedule.codewords
+    ]
     payloads = []
-    for cw in schedule.codewords:
-        acc = bytes(store.subpacket_size)
-        for u, p in cw:
-            acc = _xor(acc, store.subpacket(demands[u - 1], p))
+    for cw in codewords:
+        acc = 0
+        for key in cw:
+            acc ^= slice_int(key)
         payloads.append(acc)
+    by_user: dict[int, list[int]] = defaultdict(list)
+    for ci, cw in enumerate(schedule.codewords):
+        for u in {u for u, _ in cw}:
+            by_user[u].append(ci)
 
     def fail(user: int, packet: int | None, why: str) -> bool:
         if strict:
@@ -248,35 +276,50 @@ def simulate_end_to_end(
             )
         return False
 
+    def decode_pass(
+        indices: Sequence[int],
+        cached: frozenset[int],
+        learned: dict[tuple[int, int], int],
+    ) -> bool:
+        """Learn every codeword's one unknown slice; True iff any was new."""
+        progress = False
+        for ci in indices:
+            cw = codewords[ci]
+            unknown = [
+                key
+                for key in cw
+                if key[1] not in cached and key not in learned
+            ]
+            if len(unknown) != 1:
+                continue
+            residual = payloads[ci]
+            for key in cw:
+                if key != unknown[0]:
+                    residual ^= (
+                        slice_int(key) if key[1] in cached else learned[key]
+                    )
+            learned[unknown[0]] = residual
+            progress = True
+        return progress
+
+    everything = range(len(codewords))
     for user in range(1, K + 1):
-        known: dict[tuple[int, int], bytes] = {}
-        for n in range(1, len(store.files) + 1):
-            for p in layout.packets(user):
-                known[(n, p)] = store.subpacket(n, p)
+        cached = layout.packets(user)
+        learned: dict[tuple[int, int], int] = {}
         want = demands[user - 1]
-        passes = 0
-        while any((want, p) not in known for p in range(1, K + 1)):
-            passes += 1
-            progress = False
-            for cw, payload in zip(schedule.codewords, payloads):
-                unknown = [
-                    (u, p) for u, p in cw if (demands[u - 1], p) not in known
-                ]
-                if len(unknown) != 1:
-                    continue
-                u1, p1 = unknown[0]
-                residual = payload
-                for u2, p2 in cw:
-                    if (u2, p2) == (u1, p1):
-                        continue
-                    residual = _xor(residual, known[(demands[u2 - 1], p2)])
-                known[(demands[u1 - 1], p1)] = residual
-                progress = True
-            if not progress:
-                hole = next(
-                    p for p in range(1, K + 1) if (want, p) not in known
-                )
-                return fail(user, hole, "was never recovered")
+        needed = [(want, p) for p in range(1, K + 1) if p not in cached]
+        decode_pass(by_user[user], cached, learned)
+        passes = 1
+        if any(key not in learned for key in needed):
+            # Other users' codewords may carry what is missing: start over
+            # with passes over the whole schedule.
+            learned.clear()
+            passes = 0
+            while any(key not in learned for key in needed):
+                passes += 1
+                if not decode_pass(everything, cached, learned):
+                    hole = next(key for key in needed if key not in learned)
+                    return fail(user, hole[1], "was never recovered")
         if passes > 1:
             log.warning(
                 "user %d needed %d decoding passes; the schedule is not "
@@ -284,8 +327,7 @@ def simulate_end_to_end(
                 user,
                 passes,
             )
-        rebuilt = b"".join(known[(want, p)] for p in range(1, K + 1))
-        if rebuilt != store.files[want - 1]:
+        if any(learned[key] != slice_int(key) for key in needed):
             return fail(user, None, "reassembled with wrong bytes")
     return True
 

@@ -205,6 +205,17 @@ class TestOptimalityTableCommand:
         assert by_label["L=K-2"]["match"] == "no"
         assert by_label["L=K-1"]["match"] == "yes"
 
+    @pytest.mark.parametrize("N", ["2", "7"])
+    def test_a_library_size_other_than_k_is_a_usage_error(self, capsys, N):
+        code, out, err = run(capsys, "optimality-table", "--K", "6", "--N", N)
+        assert code == 2 and out == ""
+        assert err == f"error: the optimality table is for N = K; got N={N}, K=6\n"
+
+    def test_n_equal_to_k_is_accepted(self, capsys):
+        assert run(capsys, "optimality-table", "--K", "6", "--N", "6") == run(
+            capsys, "optimality-table", "--K", "6"
+        )
+
 
 class TestExitCodesAndOutput:
     def test_invalid_cache_size_is_a_usage_error(self, capsys):

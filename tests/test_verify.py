@@ -1,23 +1,29 @@
 """Unit tests for the verifier: structural decodability checks, the byte
-store, end-to-end XOR simulation, and the exact pair-schedule oracle."""
+store, end-to-end XOR simulation (against a byte-level reference), and the
+exact pair-schedule oracle."""
 
 import itertools
+import logging
+import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from cachecode.delivery import TransmissionSchedule, generate_schedule, scheme_constants
 from cachecode.errors import InstanceError, RegimeError, SimulationMismatch
 from cachecode.model import (
+    CacheLayout,
     SubpacketId,
     SystemParams,
     build_cache_layout,
     build_demand_list,
     random_demand,
+    validate_demand,
 )
+from cachecode.multiaccess import CcdnParams, ccdn_schedule, ccdn_user_view
 from cachecode.verify import (
     FileStore,
-    _xor,
     min_pair_transmissions,
     random_file_store,
     simulate_end_to_end,
@@ -126,6 +132,117 @@ class TestFileStore:
         assert first.files != random_file_store(params, seed=4, subpacket_size=2).files
 
 
+# The byte-level simulator that the int-slice one replaced, kept verbatim as
+# a reference: `TestSimulatorMatchesReference` checks that both give the same
+# result, the same strict message and the same warnings on every input.
+log = logging.getLogger("cachecode.verify")
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    if len(a) != len(b):
+        raise ValueError(f"cannot XOR {len(a)} bytes with {len(b)} bytes")
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return x.to_bytes(len(a), "big")
+
+
+def reference_simulate(
+    params: SystemParams,
+    demands: Sequence[int],
+    store: FileStore,
+    seed: int = 0,
+    *,
+    layout: CacheLayout | None = None,
+    schedule: TransmissionSchedule | None = None,
+    strict: bool = False,
+) -> bool:
+    """Run placement, delivery, and decoding on real bytes.
+
+    Caches are filled from the layout (packet slices of every file), each
+    codeword becomes the XOR of the demanded slices it combines, and every
+    user then decodes using only its cache and the broadcast payloads:
+    whenever a codeword has exactly one slice the user does not know, the
+    known ones are cancelled and the leftover is learned.  One pass suffices
+    for a decodable schedule; needing more is logged as a warning because it
+    signals a decodability violation.  Returns True iff every user's
+    reassembled file equals its demanded file bit for bit.  With
+    ``strict=True`` the first failure raises :class:`SimulationMismatch`
+    naming the user and packet; ``seed`` is echoed in that message so runs
+    can be reproduced.
+    """
+    demands = validate_demand(params, demands)
+    K = params.n_users
+    if store.n_subpackets != K:
+        raise InstanceError(
+            f"store splits files into {store.n_subpackets} sub-packets, "
+            f"instance needs {K}"
+        )
+    if len(store.files) < params.n_files:
+        raise InstanceError(
+            f"store holds {len(store.files)} files, instance has "
+            f"{params.n_files}"
+        )
+    if layout is None:
+        layout = build_cache_layout(params)
+    if schedule is None:
+        schedule = generate_schedule(params, demands)
+    payloads = []
+    for cw in schedule.codewords:
+        acc = bytes(store.subpacket_size)
+        for u, p in cw:
+            acc = _xor(acc, store.subpacket(demands[u - 1], p))
+        payloads.append(acc)
+
+    def fail(user: int, packet: int | None, why: str) -> bool:
+        if strict:
+            where = f"sub-packet {packet} of " if packet is not None else ""
+            raise SimulationMismatch(
+                f"user {user}: {where}file {demands[user - 1]} {why} "
+                f"(seed={seed})"
+            )
+        return False
+
+    for user in range(1, K + 1):
+        known: dict[tuple[int, int], bytes] = {}
+        for n in range(1, len(store.files) + 1):
+            for p in layout.packets(user):
+                known[(n, p)] = store.subpacket(n, p)
+        want = demands[user - 1]
+        passes = 0
+        while any((want, p) not in known for p in range(1, K + 1)):
+            passes += 1
+            progress = False
+            for cw, payload in zip(schedule.codewords, payloads):
+                unknown = [
+                    (u, p) for u, p in cw if (demands[u - 1], p) not in known
+                ]
+                if len(unknown) != 1:
+                    continue
+                u1, p1 = unknown[0]
+                residual = payload
+                for u2, p2 in cw:
+                    if (u2, p2) == (u1, p1):
+                        continue
+                    residual = _xor(residual, known[(demands[u2 - 1], p2)])
+                known[(demands[u1 - 1], p1)] = residual
+                progress = True
+            if not progress:
+                hole = next(
+                    p for p in range(1, K + 1) if (want, p) not in known
+                )
+                return fail(user, hole, "was never recovered")
+        if passes > 1:
+            log.warning(
+                "user %d needed %d decoding passes; the schedule is not "
+                "decodable on sight",
+                user,
+                passes,
+            )
+        rebuilt = b"".join(known[(want, p)] for p in range(1, K + 1))
+        if rebuilt != store.files[want - 1]:
+            return fail(user, None, "reassembled with wrong bytes")
+    return True
+
+
 class TestSimulation:
     def test_identity_demand_round_trip(self):
         params = instance(6, 4)
@@ -167,6 +284,7 @@ class TestSimulation:
                 params, range(1, 7), store, schedule=broken, strict=True
             )
 
+    # The reference simulator's XOR, which the package no longer needs.
     @pytest.mark.parametrize("size", [0, 1, 3, 1024])
     def test_xor_matches_the_bytewise_definition(self, size):
         a = bytes((7 * k + 1) % 256 for k in range(size))
@@ -186,6 +304,191 @@ class TestSimulation:
         too_few = FileStore(files=(bytes(6),) * 5, n_subpackets=6)
         with pytest.raises(InstanceError):
             simulate_end_to_end(params, range(1, 7), too_few)
+
+
+def outcome(simulate, caplog, *args, **kwargs):
+    """What one simulator run shows: its result, or its strict message, and
+    the warnings it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="cachecode.verify"):
+        try:
+            result = simulate(*args, **kwargs)
+        except SimulationMismatch as err:
+            result = f"mismatch: {err}"
+    return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def same_as_reference(caplog, params, demands, store, schedule, **kwargs):
+    """Run both simulators with and without ``strict``; return the
+    (lenient, strict) outcomes after asserting that they agree."""
+    seen = []
+    for strict in (False, True):
+        args = (params, demands, store)
+        kw = dict(seed=5, schedule=schedule, strict=strict, **kwargs)
+        new = outcome(simulate_end_to_end, caplog, *args, **kw)
+        assert new == outcome(reference_simulate, caplog, *args, **kw)
+        seen.append(new)
+    return tuple(seen)
+
+
+def singletons_except(params: SystemParams, left_out):
+    """One singleton codeword per demanded cell, in cell order."""
+    return [(cell,) for cell in build_demand_list(params) if cell not in left_out]
+
+
+class TestSimulatorMatchesReference:
+    @pytest.mark.parametrize("K", range(2, 11))
+    def test_generated_schedules(self, caplog, K):
+        for i in range(1, K + 1):
+            params = instance(K, i, N=K + 2)
+            store = random_file_store(params, seed=K * i, subpacket_size=3)
+            for demands in (
+                tuple(range(1, K + 1)),
+                (1,) * K,
+                random_demand(params, seed=i),
+            ):
+                schedule = generate_schedule(params, demands)
+                lenient, strict = same_as_reference(
+                    caplog, params, demands, store, schedule
+                )
+                assert lenient == strict == (True, [])
+
+    @pytest.mark.parametrize("K,L,i", [(10, 6, 1), (10, 3, 3), (9, 4, 2), (12, 7, 1)])
+    def test_multi_access_schedules(self, caplog, K, L, i):
+        point = CcdnParams(n_files=K, n_users=K, access_degree=L, cache_units=i)
+        schedule = ccdn_schedule(point)
+        store = random_file_store(schedule.params, seed=K + L, subpacket_size=2)
+        for demands in (tuple(range(1, K + 1)), (2,) * K):
+            lenient, _ = same_as_reference(
+                caplog, schedule.params, demands, store, schedule,
+                layout=ccdn_user_view(point),
+            )
+            assert lenient == (True, [])
+
+    def test_a_dropped_codeword(self, caplog):
+        params = instance(6, 4)
+        base = generate_schedule(params)
+        store = random_file_store(params, seed=0)
+        broken = schedule_with(params, base.codewords[:-1])
+        lenient, strict = same_as_reference(
+            caplog, params, range(1, 7), store, broken
+        )
+        assert lenient == (False, [])
+        assert strict[0].startswith("mismatch: user 1: sub-packet")
+
+    def test_no_codewords_at_all(self, caplog):
+        # User 1 misses packets 5 and 6; the message names the first.
+        params = instance(6, 4)
+        store = random_file_store(params, seed=0)
+        lenient, strict = same_as_reference(
+            caplog, params, range(1, 7), store, schedule_with(params, [])
+        )
+        assert lenient == (False, [])
+        assert strict == (
+            "mismatch: user 1: sub-packet 5 of file 1 was never recovered "
+            "(seed=5)",
+            [],
+        )
+
+    @pytest.mark.parametrize("packet", [0, 7])
+    def test_a_packet_outside_the_file(self, packet):
+        params = instance(6, 4)
+        store = random_file_store(params, seed=0, subpacket_size=2)
+        broken = schedule_with(params, [(SubpacketId(1, packet),)])
+        messages = []
+        for simulate in (simulate_end_to_end, reference_simulate):
+            with pytest.raises(ValueError) as err:
+                simulate(params, range(1, 7), store, schedule=broken)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "cannot XOR 2 bytes with 0 bytes"
+
+    def test_two_swapped_terms(self, caplog):
+        params = instance(8, 3)
+        codewords = [list(cw) for cw in generate_schedule(params).codewords]
+        codewords[0][0], codewords[1][-1] = codewords[1][-1], codewords[0][0]
+        store = random_file_store(params, seed=1)
+        results = [
+            same_as_reference(
+                caplog, params, demands, store, schedule_with(params, codewords)
+            )[0][0]
+            for demands in (range(1, 9), [1] * 8)
+        ]
+        # Distinct files leave users 1 and 3 stuck; under one shared file
+        # other users' codewords carry the slices they miss.
+        assert results == [False, True]
+
+    def test_a_duplicated_codeword(self, caplog):
+        params = instance(7, 3)
+        codewords = list(generate_schedule(params).codewords)
+        store = random_file_store(params, seed=2)
+        for at in (0, len(codewords) // 2, len(codewords)):
+            doubled = codewords[:at] + [codewords[at - 1]] + codewords[at:]
+            lenient, _ = same_as_reference(
+                caplog, params, range(1, 8), store, schedule_with(params, doubled)
+            )
+            assert lenient == (True, [])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tampering(self, caplog, seed):
+        rng = random.Random(seed)
+        K, i = rng.choice([(6, 4), (7, 3), (8, 5), (9, 2)])
+        # Three files under K >= 6 users: demands repeat, so users can learn
+        # slices they want from other users' codewords.
+        params = instance(K, i, N=3)
+        codewords = [list(cw) for cw in generate_schedule(instance(K, i)).codewords]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.randrange(len(codewords)), rng.randrange(len(codewords))
+            kind = rng.choice(["drop", "swap", "duplicate"])
+            if kind == "drop" and len(codewords) > 1:
+                del codewords[a]
+            elif kind == "swap":
+                x, y = rng.randrange(len(codewords[a])), rng.randrange(len(codewords[b]))
+                codewords[a][x], codewords[b][y] = codewords[b][y], codewords[a][x]
+            else:
+                codewords.insert(b, list(codewords[a]))
+        store = random_file_store(params, seed=seed, subpacket_size=2)
+        same_as_reference(
+            caplog, params, random_demand(params, seed), store,
+            schedule_with(params, codewords),
+        )
+
+    def test_a_schedule_that_needs_two_passes(self, caplog):
+        # User 1 caches packets 1..4 of every file, and users 1 and 2 both
+        # want file 1.  The first codeword mixes user 1's packet 5 with packet
+        # 6 of the same file, which user 1 learns only from the second one.
+        params = instance(6, 4)
+        first = (SubpacketId(1, 5), SubpacketId(2, 6))
+        codewords = [first, (SubpacketId(1, 6),)] + singletons_except(
+            params, {*first, SubpacketId(1, 6)}
+        )
+        store = random_file_store(params, seed=3, subpacket_size=4)
+        lenient, strict = same_as_reference(
+            caplog, params, [1, 1, 3, 4, 5, 6], store,
+            schedule_with(params, codewords),
+        )
+        warning = (
+            "cachecode.verify",
+            logging.WARNING,
+            "user 1 needed 2 decoding passes; the schedule is not decodable "
+            "on sight",
+        )
+        assert lenient == strict == (True, [warning])
+
+    def test_a_slice_learned_from_another_users_codeword(self, caplog):
+        # No codeword holds user 1's packet 5, but under repeated demands
+        # user 6's singleton (6, 5) carries the same slice of file 1.
+        params = instance(6, 4)
+        codewords = singletons_except(params, {SubpacketId(1, 5)})
+        store = random_file_store(params, seed=4)
+        lenient, _ = same_as_reference(
+            caplog, params, [1] * 6, store, schedule_with(params, codewords)
+        )
+        assert lenient == (True, [])
+        lenient, strict = same_as_reference(
+            caplog, params, range(1, 7), store, schedule_with(params, codewords)
+        )
+        assert lenient == (False, [])
+        assert strict[0].startswith("mismatch: user 1: sub-packet 5 of file 1")
 
 
 def exhaustive_min_pair_count(params: SystemParams) -> int:
