@@ -20,13 +20,15 @@ a rate cost that vanishes for large caches.
 
 A few tightly budgeted instances admit no schedule under the sweeping
 discipline (a kept term can wall off every compatible re-seat).  Those fall
-back to equivalent constructions with the same transmission count: shift
-orbits of one or a few base codewords when the counts allow them, and
-otherwise a direct packing of the owed sub-packets into exactly the right
-number of codewords, found by seeded min-conflicts local search.  Every
-orbit construction shifts a base codeword found by one search
-(:func:`_orbit_base`), and every one of them bounds how densely a codeword
-can sample a diagonal by one spacing rule (:func:`_spacing`).
+back to equivalent constructions with the same transmission count, tried in
+three steps (:func:`_orbit_schedule`): a cover by shift orbits of base
+codewords; transversal orbits plus a direct tiling of the diagonals they
+leave over; and a direct tiling of the whole owed region.  A tiling packs
+diagonals into exactly the right number of codewords, by shifted runs when
+it can and otherwise by seeded min-conflicts local search.  Every orbit
+shifts a base codeword found by one search (:func:`_orbit_base`), and every
+construction bounds how densely a codeword can sample a diagonal by one
+spacing rule (:func:`_spacing`).
 
 A separate closed-form generator covers the small-cache regime
 (1 < i <= K/2), where every codeword pairs at most two sub-packets.
@@ -193,14 +195,25 @@ def tail_subroutine(
 class TransmissionSchedule:
     """A complete delivery schedule for one instance.
 
-    ``constants`` is None only for the degenerate full-cache instance
-    (i = K), whose schedule is empty.
+    Everything else is derived from the codewords and the instance, so a
+    copy with other codewords (``dataclasses.replace``) reports its own
+    rate.
     """
 
     codewords: tuple[Codeword, ...]
     params: SystemParams
-    constants: SchemeConstants | None
-    rate: Fraction
+
+    @property
+    def constants(self) -> SchemeConstants | None:
+        """The instance's delivery constants; None outside 1 <= i <= K-1
+        (the full-cache instance i = K has an empty schedule)."""
+        K, i = self.params.n_users, self.params.cache_units
+        return scheme_constants(self.params) if 1 <= i <= K - 1 else None
+
+    @property
+    def rate(self) -> Fraction:
+        """Transmissions per file: len(codewords) / K."""
+        return Fraction(len(self.codewords), self.params.n_users)
 
     @property
     def n_transmissions(self) -> int:
@@ -503,6 +516,22 @@ def _orbit_base(
         return False
 
     return chosen if extend(0, _ANY_CELL) else None
+
+
+def _block_orbit(
+    block: Sequence[int], m: int, ring: _Ring
+) -> list[tuple[int, ...]] | None:
+    """The K/m shifts of a base with m cells on each diagonal of ``block``.
+
+    The base's cells on one diagonal are K/m users apart, so its K/m shifts
+    cover every cell of the block once; the base is the first one
+    :func:`_orbit_base` finds, or None when there is none.
+    """
+    period = range(ring.n_users // m)
+    base = _orbit_base(block, m, len(period), period, period, ring)
+    if base is None:
+        return None
+    return [tuple(ring.shift(c, s) for c in base) for s in period]
 
 
 def _conflicts(order: Sequence[int], ring: _Ring) -> list[int]:
@@ -814,11 +843,10 @@ def _coset_cover(
     Assigns each diagonal a multiplicity m (cells per codeword, a divisor
     of K, with coset spacing K/m no tighter than the diagonal's minimum),
     packs diagonals of equal multiplicity into blocks of at most
-    floor(arity/m), and sweeps each block with the K/m shifts of one base
-    codeword from :func:`_orbit_base`.  A multiplicity profile is usable
-    only when the block counts add up to exactly the required number of
-    transmissions; all profiles are enumerated and the first that also
-    admits base codewords wins.
+    floor(arity/m), and sweeps each block with :func:`_block_orbit`.  A
+    multiplicity profile is usable only when the block counts add up to
+    exactly the required number of transmissions; all profiles are
+    enumerated and the first that also admits base codewords wins.
     """
     K, i = params.n_users, params.cache_units
     arity, total, stride = consts.arity, consts.n_transmissions, consts.stride
@@ -865,23 +893,20 @@ def _coset_cover(
         assigned: dict[int, list[int]] = {}
         for off, m in zip(by_cap, mults):
             assigned.setdefault(m, []).append(off)
-        codewords: list[tuple[int, ...]] = []
-        feasible = True
+        blocks: list[tuple[int, list[int]]] = []
         for m in sorted(assigned):
             group = sorted(assigned[m])
             width = arity // m
-            period = range(K // m)
-            for g in range(0, len(group), width):
-                block = group[g : g + width]
-                base = _orbit_base(block, m, K // m, period, period, ring)
-                if base is None:
-                    feasible = False
-                    break
-                for s in period:
-                    codewords.append(tuple(ring.shift(c, s) for c in base))
-            if not feasible:
+            blocks.extend(
+                (m, group[g : g + width]) for g in range(0, len(group), width)
+            )
+        codewords: list[tuple[int, ...]] = []
+        for m, block in blocks:
+            orbit = _block_orbit(block, m, ring)
+            if orbit is None:
                 break
-        if feasible:
+            codewords.extend(orbit)
+        else:
             return codewords
     return None
 
@@ -891,16 +916,18 @@ def _orbit_schedule(
 ) -> list[tuple[int, ...]] | None:
     """Cyclic construction for instances the sweep search cannot finish.
 
-    The owed region is a union of K-i full diagonals.  Preferred shape: a
-    pure shift-orbit cover (:func:`_coset_cover`).  When no multiplicity
-    profile matches the transmission count -- unavoidable for prime K,
-    whose cyclic group has no nontrivial tilings -- the diagonals are
-    grouped by arity: full groups are swept by transversal codewords, and
-    whatever is left over (the loosest-spaced diagonals, which pack into
-    the fewest codewords) is tiled directly by :func:`_tile_leftover` with
-    exactly the codeword count that lands the total on the closed form.
-    When the transversal groupings fail, the whole region is tiled
-    directly.
+    The owed region is a union of K-i full diagonals.  Three tries, the
+    first that finds a schedule wins:
+
+    1. a pure shift-orbit cover (:func:`_coset_cover`), impossible when no
+       multiplicity profile matches the transmission count, as for prime K;
+    2. when at least ``arity`` diagonals are owed: the (K-i) % arity
+       loosest-spaced ones, which pack into the fewest codewords, tiled by
+       :func:`_tile_leftover` into the codeword count that lands the total
+       on the closed form, and the rest striped in offset order into
+       (K-i) // arity groups, each swept by a transversal orbit
+       (:func:`_block_orbit` with one cell per diagonal);
+    3. the whole owed region tiled by :func:`_tile_leftover`.
     """
     K, i = params.n_users, params.cache_units
     arity, total, stride = consts.arity, consts.n_transmissions, consts.stride
@@ -910,46 +937,23 @@ def _orbit_schedule(
 
     offsets = list(range(i, K))
     n_groups = len(offsets) // arity
-    n_loose = len(offsets) % arity
-
-    by_spacing = sorted(
-        offsets, key=lambda off: (_spacing(off, K, stride), off)
-    )
-    loose = sorted(by_spacing[:n_loose])
-    grouped = sorted(by_spacing[n_loose:])
-
-    n_loose_cliques = total - n_groups * K
-    if n_loose_cliques >= 0 and (loose or not n_loose_cliques):
-        tiled = _tile_leftover(loose, n_loose_cliques, arity, ring, stride)
+    if n_groups:
+        by_spacing = sorted(
+            offsets, key=lambda off: (_spacing(off, K, stride), off)
+        )
+        n_loose = len(offsets) % arity
+        loose = sorted(by_spacing[:n_loose])
+        grouped = sorted(by_spacing[n_loose:])
+        tiled = _tile_leftover(
+            loose, total - n_groups * K, arity, ring, stride
+        )
         if tiled is not None:
-            groupings = []
-            if n_groups:
-                chunked = [
-                    grouped[g * arity : (g + 1) * arity]
-                    for g in range(n_groups)
-                ]
-                striped = [grouped[g::n_groups] for g in range(n_groups)]
-                groupings = [chunked] + (
-                    [striped] if striped != chunked else []
-                )
-            else:
-                groupings = [[]]
-            for groups in groupings:
-                transversals = [
-                    _orbit_base(g, 1, 1, range(K), range(K), ring)
-                    for g in groups
-                ]
-                if any(t is None for t in transversals):
-                    continue
-                codewords = []
-                for trans in transversals:
-                    for s in range(K):
-                        codewords.append(tuple(ring.shift(c, s) for c in trans))
-                codewords.extend(tiled)
-                return codewords
-
-    if not n_groups:
-        return None
+            orbits = [
+                _block_orbit(grouped[g::n_groups], 1, ring)
+                for g in range(n_groups)
+            ]
+            if all(orbit is not None for orbit in orbits):
+                return [cw for orbit in orbits for cw in orbit] + tiled
     return _tile_leftover(offsets, total, arity, ring, stride)
 
 
@@ -959,7 +963,7 @@ def _solve_schedule(
     consts: SchemeConstants,
     seed: Sequence[SubpacketId],
     demand_cells: Sequence[SubpacketId],
-    node_budget: int | None = None,
+    node_budget: int = _SWEEP_NODE_BUDGET,
 ) -> list[Codeword] | None:
     """Depth-first construction of an exact-length schedule by sweeping.
 
@@ -1031,7 +1035,7 @@ def _solve_schedule(
         return False
 
     while True:
-        if node_budget is not None and nodes > node_budget:
+        if nodes > node_budget:
             log.debug(
                 "sweep for K=%d, i=%d gave up after %d decisions",
                 K,
@@ -1138,7 +1142,7 @@ def generate_schedule(
     _require_schedule_inputs(params, demands)
     K, i = params.n_users, params.cache_units
     if i == K:
-        return TransmissionSchedule((), params, None, Fraction(0))
+        return TransmissionSchedule((), params)
     if i == 0:
         raise InstanceError(
             "i=0 leaves nothing cached; send the library uncoded instead"
@@ -1151,7 +1155,6 @@ def generate_schedule(
         consts,
         initial_codeword_terms(params),
         build_demand_list(params),
-        node_budget=_SWEEP_NODE_BUDGET,
     )
     if codewords is None:
         ring = _Ring(layout)
@@ -1163,9 +1166,7 @@ def generate_schedule(
             f"K={K}, i={i}: no schedule of {consts.n_transmissions} "
             "transmissions found"
         )
-    schedule = TransmissionSchedule(
-        tuple(codewords), params, consts, Fraction(len(codewords), K)
-    )
+    schedule = TransmissionSchedule(tuple(codewords), params)
     _assert_schedule_shape(schedule)
     return schedule
 
@@ -1188,7 +1189,6 @@ def closed_form_pairs(
         raise RegimeError(
             f"pairwise closed form covers 1 < i <= K/2; got i={i}, K={K}"
         )
-    consts = scheme_constants(params)
     covered: set[SubpacketId] = set()
     codewords: list[Codeword] = []
     for k in range(1, (K - i) // 2 + 1):
@@ -1211,12 +1211,6 @@ def closed_form_pairs(
                 continue
             codewords.append(fresh)
             covered.update(fresh)
-    if covered != set(build_demand_list(params)):
-        raise ScheduleError(
-            f"K={K}, i={i}: pairwise closed form missed demanded sub-packets"
-        )
-    schedule = TransmissionSchedule(
-        tuple(codewords), params, consts, Fraction(len(codewords), K)
-    )
+    schedule = TransmissionSchedule(tuple(codewords), params)
     _assert_schedule_shape(schedule)
     return schedule

@@ -166,9 +166,7 @@ def ccdn_schedule(
         tuple(SubpacketId(u, wrap(p * i, K)) for u, p in cw)
         for cw in schedule.codewords
     )
-    return TransmissionSchedule(
-        codewords, base, schedule.constants, schedule.rate
-    )
+    return TransmissionSchedule(codewords, base)
 
 
 def ccdn_rate_at_supported_points(params: CcdnParams) -> Fraction:

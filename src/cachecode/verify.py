@@ -81,6 +81,9 @@ def verify_instantaneous_decodability(
     against the per-user complement of the layout: each demanded sub-packet
     must appear in exactly one codeword, and nothing else may appear.
 
+    A term whose user lies outside 1..K is reported once, as not demanded,
+    and its decodability is not checked.
+
     The layout defaults to the instance's own cyclic placement; passing an
     explicit one checks a schedule against a different cache topology (the
     multi-access view, for example).
@@ -91,6 +94,8 @@ def verify_instantaneous_decodability(
     violations: list[Violation] = []
     for ci, cw in enumerate(schedule.codewords):
         for u, p in cw:
+            if not 1 <= u <= K:
+                continue
             for u2, p2 in cw:
                 if (u2, p2) == (u, p):
                     continue
@@ -109,7 +114,14 @@ def verify_instantaneous_decodability(
     first_seen: dict[SubpacketId, int] = {}
     for ci, cw in enumerate(schedule.codewords):
         for term in cw:
-            if term in first_seen:
+            user = term[0]
+            if not 1 <= user <= K:
+                violations.append(
+                    Violation(
+                        ci, term, f"not-demanded: user {user} is outside 1..{K}"
+                    )
+                )
+            elif term in first_seen:
                 violations.append(
                     Violation(
                         ci,
@@ -220,7 +232,8 @@ def simulate_end_to_end(
     slice, which at a fixed length determines the bytes.  With
     ``strict=True`` the first failure raises :class:`SimulationMismatch`
     naming the user and packet; ``seed`` is echoed in that message so runs
-    can be reproduced.
+    can be reproduced.  A schedule term whose user lies outside 1..K raises
+    :class:`InstanceError`.
     """
     demands = validate_demand(params, demands)
     K = params.n_users
@@ -253,6 +266,12 @@ def simulate_end_to_end(
             value = slices[key] = int.from_bytes(data, "big")
         return value
 
+    for cw in schedule.codewords:
+        for u, p in cw:
+            if not 1 <= u <= K:
+                raise InstanceError(
+                    f"schedule term ({u},{p}) names user {u}, outside 1..{K}"
+                )
     codewords = [
         [(demands[u - 1], p) for u, p in cw] for cw in schedule.codewords
     ]

@@ -2,6 +2,7 @@
 codeword, replacement rules, schedule generation, the orbit fallbacks, and
 the pairwise closed form."""
 
+import dataclasses
 import logging
 import math
 import subprocess
@@ -301,6 +302,12 @@ class TestGenerateSchedule:
         assert schedule.rate == Fraction(0)
         assert schedule.constants is None
 
+    def test_a_copy_with_other_codewords_reports_its_own_rate(self):
+        schedule = generate_schedule(instance(8, 5))
+        short = dataclasses.replace(schedule, codewords=schedule.codewords[:-1])
+        assert short.rate == Fraction(schedule.n_transmissions - 1, 8)
+        assert short.constants == schedule.constants == scheme_constants(instance(8, 5))
+
     def test_empty_cache_is_rejected(self):
         with pytest.raises(InstanceError):
             generate_schedule(instance(5, 0))
@@ -448,10 +455,11 @@ def orbit_construction(K, i, monkeypatch):
 
     Wraps the constructions, logs the first argument of each call that
     found something, and reads the winner off the log: the coset cover;
-    else the last diagonal tiling, of the whole owed region (which only
-    follows failed transversal groupings) or of the loose diagonals (by
-    spaced run or min-conflicts, whichever ran last); else the transversal
-    orbits alone, striped or chunked.
+    else the whole-region tiling that follows failed transversal orbits;
+    else the last diagonal tiling, of the diagonals the orbits leave loose
+    or of the whole region when there are no groups to orbit, by spaced
+    run or min-conflicts, whichever ran last; else the transversal orbits
+    alone.
     """
     n_groups = (K - i) // scheme_constants(instance(K, i)).arity
     found = []
@@ -469,7 +477,6 @@ def orbit_construction(K, i, monkeypatch):
 
     for name in (
         "_coset_cover",
-        "_orbit_base",
         "_spaced_run_cover",
         "_tile_minconf",
         "_tile_leftover",
@@ -485,9 +492,7 @@ def orbit_construction(K, i, monkeypatch):
     if tiled[-1]:
         tilers = [n for n in names if n in ("_spaced_run_cover", "_tile_minconf")]
         return "spaced run" if tilers[-1] == "_spaced_run_cover" else "min-conflicts"
-    groups = [offsets for name, offsets in found if name == "_orbit_base"]
-    striped = any(b - a != 1 for g in groups[-n_groups:] for a, b in zip(g, g[1:]))
-    return "striped transversals" if striped else "chunked transversals"
+    return "transversal orbits"
 
 
 class TestOrbitConstructions:
@@ -497,7 +502,7 @@ class TestOrbitConstructions:
         "K,i,construction",
         [
             (14, 11, "coset"),
-            (19, 10, "striped transversals"),
+            (19, 10, "transversal orbits"),
             (19, 13, "spaced run"),
             (13, 10, "min-conflicts"),
             (22, 16, "whole-region tiling"),

@@ -3,8 +3,8 @@
 Generates all 276 instances 2 <= K <= 24, 1 <= i <= K-1 once.  Their
 digest (see ``scripts/schedule_digest.py``) must equal the pinned value,
 so any change to schedule generation that alters a single term fails here,
-and every one of the schedules must pass the decodability verifier.  Three
-fallback instances, two of them past K = 24, are pinned the same way.
+and every one of the schedules must pass the decodability verifier.  Nine
+fallback instances, eight of them past K = 24, are pinned the same way.
 """
 
 import importlib.util
@@ -16,10 +16,21 @@ from cachecode.verify import verify_instantaneous_decodability
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "schedule_digest.py"
 GRID24_DIGEST = "dc45ef230d79d3c2d9e6ea3a035b557cf3377be3653749f267f0c3d6685fa32a"
-# K=22, i=16; K=31, i=26; K=32, i=27: the sweep gives up on each, the
-# spaced-run cover is searched in vain, and min-conflicts finishes them
-# (over the whole owed region for K=22, i=16).
-FALLBACK_DIGEST = "7e657cfe50f5f79d7c5af6e9e785c5e522b2cf39bc6e73f34da9fd24bb5c8b2d"
+FALLBACK_DIGESTS = [
+    # K=22, i=16; K=31, i=26; K=32, i=27: the sweep gives up on each, the
+    # spaced-run cover is searched in vain, and min-conflicts finishes them
+    # (over the whole owed region for K=22, i=16).
+    (
+        "22:16,31:26,32:27",
+        "7e657cfe50f5f79d7c5af6e9e785c5e522b2cf39bc6e73f34da9fd24bb5c8b2d",
+    ),
+    # Striped transversal orbits over two to four groups, with and without
+    # a tiling of loose diagonals, and coset covers.
+    (
+        "25:13,31:20,38:23,39:24,40:34,25:19",
+        "e1417d04cc8d55aa5175f6b28712431a3e65a1771251c2b0d4e6170df3127ba1",
+    ),
+]
 
 
 def load_script():
@@ -50,9 +61,12 @@ def test_grid24_is_decodable_on_sight(grid24):
     assert failed == []
 
 
-def test_fallback_instances_past_k24_are_pinned(capsys):
-    assert digest_script.main(["--instances", "22:16,31:26,32:27"]) == 0
-    assert capsys.readouterr().out.strip() == FALLBACK_DIGEST
+@pytest.mark.parametrize(
+    "instances,digest", FALLBACK_DIGESTS, ids=[i for i, _ in FALLBACK_DIGESTS]
+)
+def test_fallback_instances_past_k24_are_pinned(instances, digest, capsys):
+    assert digest_script.main(["--instances", instances]) == 0
+    assert capsys.readouterr().out.strip() == digest
 
 
 def test_canonical_line_format():

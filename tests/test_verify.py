@@ -5,12 +5,11 @@ exact pair-schedule oracle."""
 import itertools
 import logging
 import random
-from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
-from cachecode.delivery import TransmissionSchedule, generate_schedule, scheme_constants
+from cachecode.delivery import TransmissionSchedule, generate_schedule
 from cachecode.errors import InstanceError, RegimeError, SimulationMismatch
 from cachecode.model import (
     CacheLayout,
@@ -37,12 +36,7 @@ def instance(K: int, i: int, N: int | None = None) -> SystemParams:
 
 def schedule_with(params: SystemParams, codewords) -> TransmissionSchedule:
     """Hand-built schedule wrapper for tamper tests (shape not asserted)."""
-    return TransmissionSchedule(
-        tuple(tuple(cw) for cw in codewords),
-        params,
-        scheme_constants(params),
-        Fraction(len(codewords), params.n_users),
-    )
+    return TransmissionSchedule(tuple(tuple(cw) for cw in codewords), params)
 
 
 class TestStructuralVerifier:
@@ -91,6 +85,38 @@ class TestStructuralVerifier:
         missing = [v for v in report.violations if v.reason.startswith("missing")]
         assert {v.term for v in missing} == set(base.codewords[-1])
         assert all(v.codeword_index is None for v in missing)
+
+    @pytest.mark.parametrize("user", [0, 7])
+    @pytest.mark.parametrize("companion", [False, True])
+    def test_a_user_outside_the_instance_is_one_not_demanded_term(
+        self, user, companion
+    ):
+        # K=6, i=4: user 1 caches packet 2, so the companion (1, 5) stays
+        # decodable and only the stray term is at fault (besides the
+        # companion being sent twice).
+        stray = SubpacketId(user, 2)
+        extra = (SubpacketId(1, 5), stray) if companion else (stray,)
+        base = generate_schedule(instance(6, 4))
+        tampered = schedule_with(base.params, list(base.codewords) + [extra])
+        report = verify_instantaneous_decodability(tampered)
+        assert report.decodable
+        assert not report.coverage_ok
+        n = len(base.codewords)
+        assert [v for v in report.violations if v.term == stray] == [
+            (n, stray, f"not-demanded: user {user} is outside 1..6")
+        ]
+        assert len(report.violations) == 1 + companion
+
+    def test_plain_tuple_terms_are_checked_like_subpacket_ids(self):
+        base = generate_schedule(instance(6, 4))
+        plain = [tuple((u, p) for u, p in cw) for cw in base.codewords]
+        assert verify_instantaneous_decodability(schedule_with(base.params, plain)).ok
+        report = verify_instantaneous_decodability(
+            schedule_with(base.params, plain + [((7, 2),)])
+        )
+        assert [v.reason for v in report.violations] == [
+            "not-demanded: user 7 is outside 1..6"
+        ]
 
     def test_full_cache_empty_schedule_is_ok(self):
         report = verify_instantaneous_decodability(generate_schedule(instance(5, 5)))
@@ -295,6 +321,21 @@ class TestSimulation:
     def test_xor_rejects_unequal_lengths(self):
         with pytest.raises(ValueError):
             _xor(bytes(3), bytes(4))
+
+    @pytest.mark.parametrize("user", [0, 7])
+    @pytest.mark.parametrize("companion", [False, True])
+    def test_a_user_outside_the_instance_is_rejected(self, user, companion):
+        params = instance(6, 4)
+        stray = SubpacketId(user, 2)
+        extra = (SubpacketId(1, 5), stray) if companion else (stray,)
+        schedule = schedule_with(
+            params, list(generate_schedule(params).codewords) + [extra]
+        )
+        store = random_file_store(params, seed=0)
+        with pytest.raises(InstanceError, match=rf"term \({user},2\) names user {user}"):
+            simulate_end_to_end(
+                params, range(1, 7), store, schedule=schedule, strict=True
+            )
 
     def test_store_shape_is_validated(self):
         params = instance(6, 4)
