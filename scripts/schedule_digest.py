@@ -6,20 +6,27 @@ to schedule generation that keeps it identical must keep the digest:
 
     python scripts/schedule_digest.py                   # the K <= 24 grid
     python scripts/schedule_digest.py --instances 22:16,31:26
+    python scripts/schedule_digest.py --decisions       # decisions spent
 
 The canonical text has one line per instance, in list order: ``"K i "``,
 then the codewords joined by ``;``, each codeword being its terms written
 ``u:p`` and joined by ``,`` in emitted order.  Every instance is generated
-with N = K files.  Run it with the package importable: installed, or with
-``PYTHONPATH=src`` from the repository root.
+with N = K files.  With ``--decisions`` the digest is instead over the
+sweep search's ``"sweep for K=…, i=… done/gave up after N decisions"``
+debug lines, each ending in a newline, in instance order; it pins how many
+decisions the search spends, which a faster search must keep.  Run it with
+the package importable: installed, or with ``PYTHONPATH=src`` from the
+repository root.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import logging
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from cachecode import SystemParams, TransmissionSchedule, generate_schedule
 
@@ -44,6 +51,37 @@ def digest_of(schedules: Iterable[TransmissionSchedule]) -> str:
     for schedule in schedules:
         digest.update(canonical_line(schedule).encode())
     return digest.hexdigest()
+
+
+class _LineCollector(logging.Handler):
+    def __init__(self, lines: list[str]) -> None:
+        super().__init__(logging.DEBUG)
+        self.lines = lines
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if message.startswith("sweep for "):
+            self.lines.append(message + "\n")
+
+
+@contextlib.contextmanager
+def sweep_lines() -> Iterator[list[str]]:
+    """Collect the sweep search's debug lines, newline included, meanwhile."""
+    lines: list[str] = []
+    handler = _LineCollector(lines)
+    logger = logging.getLogger("cachecode.delivery")
+    level = logger.level
+    logger.setLevel(logging.DEBUG)
+    logger.addHandler(handler)
+    try:
+        yield lines
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def lines_digest(lines: Iterable[str]) -> str:
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def parse_instances(text: str) -> list[tuple[int, int]]:
@@ -78,9 +116,20 @@ def main(argv: list[str] | None = None) -> int:
         metavar="K:i,...",
         help="comma-separated instance list, e.g. 22:16,31:26",
     )
+    parser.add_argument(
+        "--decisions",
+        action="store_true",
+        help="digest the sweep's decision-count log lines, not the schedules",
+    )
     args = parser.parse_args(argv)
     instances = args.instances or GRID24
-    print(digest_of(instance_schedule(K, i) for K, i in instances))
+    if args.decisions:
+        with sweep_lines() as lines:
+            for K, i in instances:
+                instance_schedule(K, i)
+        print(lines_digest(lines))
+    else:
+        print(digest_of(instance_schedule(K, i) for K, i in instances))
     return 0
 
 

@@ -16,7 +16,10 @@ dedicated tail construction that spreads the last codewords evenly over the
 ring.  A depth-first search over the replacement placements, pruned by
 exact counting bounds, drives the transmission count to
 ceil(K*(K-i)/arity), which beats splitting files into binom(K, i) pieces at
-a rate cost that vanishes for large caches.
+a rate cost that vanishes for large caches.  The search skips work whose
+outcome it already knows -- states it has searched to exhaustion, and
+placements that fail on the very next owed cells -- but still counts it,
+so its decision budget and its schedules are those of the plain search.
 
 A few tightly budgeted instances admit no schedule under the sweeping
 discipline (a kept term can wall off every compatible re-seat).  Those fall
@@ -376,7 +379,9 @@ def _replacement_choices(
     partial: Sequence[int],
     allowed: int,
     steps_left: int,
-) -> list[tuple[int | None, int]]:
+    lead: int,
+    doomed: bool,
+) -> list[tuple[int | None, int] | int]:
     """Ordered placement options for a term whose advance was already served.
 
     The four local rules of :func:`_rule_cell` come first, each only if
@@ -390,10 +395,13 @@ def _replacement_choices(
 
     ``owed`` is the owed-cell mask, ``owed_on[d]`` the owed cells on
     diagonal d, and ``allowed`` the cells compatible with every term of
-    ``partial``.
+    ``partial``.  ``lead`` and ``doomed`` are the sweep's record of the
+    owed cells appended after the term (see :func:`_solve_schedule`): when
+    every rescue seat is outside ``lead`` and its walk fails on them, the
+    rescues are given as their count instead of in ranked order.
     """
     K = ring.n_users
-    choices: list[tuple[int | None, int]] = []
+    choices: list[tuple[int | None, int] | int] = []
     seen = 0
     if flag == 0:
         order: tuple[int, ...] = (1, 2, 3, 4)
@@ -413,14 +421,22 @@ def _replacement_choices(
         claimed |= 1 << t
         committed[diag[t]] += 1
     free = owed & ~claimed
-    rescue: list[tuple[float, int, int]] = []
-    for cell in _bits(free & allowed & ~seen):
-        d = diag[cell]
-        need = owed_on[d] / (1 + committed[d])
-        fit = abs(_run_ahead(cell, free, adv, K) - steps_left)
-        rescue.append((-need, fit, cell))
-    rescue.sort()
-    choices.extend((cell, 0) for _, _, cell in rescue)
+    seats = free & allowed & ~seen
+    compat = ring.compat
+    if not seats & lead and (
+        doomed or all(lead & ~compat[cell] for cell in _bits(seats))
+    ):
+        if seats:
+            choices.append(seats.bit_count())
+    else:
+        rescue: list[tuple[float, int, int]] = []
+        for cell in _bits(seats):
+            d = diag[cell]
+            need = owed_on[d] / (1 + committed[d])
+            fit = abs(_run_ahead(cell, free, adv, K) - steps_left)
+            rescue.append((-need, fit, cell))
+        rescue.sort()
+        choices.extend((cell, 0) for _, _, cell in rescue)
     choices.append((None, flag))
     return choices
 
@@ -486,19 +502,31 @@ def _orbit_base(
     ..., a+(m-1)d (mod K), for an anchor a taken from ``first_anchors`` on
     the first diagonal and from ``anchors`` on the others.  Depth-first
     over the anchors in the order given, checking every cell against all
-    cells chosen before it.  A diagonal is the set of cells
-    (u, u + offset mod K), and advancing every term of a codeword by one
-    step keeps mutual caching intact, so the shifts of one base sweep its
-    diagonals; the callers pick m, d and the anchors so that those shifts
-    cover each cell once.
+    cells chosen before it, and abandoning a branch as soon as some later
+    diagonal has no cell its anchors could use left: that prunes only
+    branches holding no base, so the first base found is the same.  A
+    diagonal is the set of cells (u, u + offset mod K), and advancing every
+    term of a codeword by one step keeps mutual caching intact, so the
+    shifts of one base sweep its diagonals; the callers pick m, d and the
+    anchors so that those shifts cover each cell once.
     """
     K = ring.n_users
     compat = ring.compat
     chosen: list[int] = []
+    # reach[k]: every cell the anchors of diagonal k may use.
+    reach = []
+    for k, off in enumerate(offsets):
+        mask = 0
+        for a in anchors if k else first_anchors:
+            for l in range(m):
+                mask |= 1 << ring.on_diagonal((a + l * d) % K, off)
+        reach.append(mask)
 
     def extend(idx: int, allowed: int) -> bool:
         if idx == len(offsets):
             return True
+        if not all(allowed & mask for mask in reach[idx + 1 :]):
+            return False
         for a in anchors if idx else first_anchors:
             cells = []
             after = allowed
@@ -974,6 +1002,13 @@ def _solve_schedule(
     against the whole codeword under construction, so the result is
     instantaneously decodable by construction.
 
+    Work whose outcome is already known is counted, not done.  A decision
+    whose state (owed cells, commit count, queue, partial codeword, flag,
+    position) was searched to exhaustion before costs the decisions spent
+    on it then, and an option whose walk fails on the next owed cells of
+    the queue costs one decision without being walked.  The decision count,
+    the budget and the schedule found are those of the plain search.
+
     Returns None when the search space is exhausted or ``node_budget``
     replacement decisions were spent without completing a schedule.
     """
@@ -988,9 +1023,8 @@ def _solve_schedule(
     owed_on = [0] * K
     for cell in _bits(owed):
         owed_on[diag[cell]] += 1
-    seed_cells = [ring.cell(term) for term in seed]
     codewords: list[list[int]] = []
-    queue = list(seed_cells)
+    queue = tuple(ring.cell(term) for term in seed)
     # The codeword under construction and the cells compatible with all
     # of its terms.
     partial: list[int] = []
@@ -1001,32 +1035,58 @@ def _solve_schedule(
     # only (partial, flag, pos) change, so a decision records the commit
     # count, and backtracking restores the owed state from here.
     saved: list[tuple[int, int, list[int]]] = []
-    # Untried options for each replacement decision, newest last.
-    decisions: list[
-        tuple[int, tuple[int, ...], int, int, list[tuple[int | None, int]]]
-    ] = []
+    # Open replacement decisions: (key, decisions spent before it, allowed
+    # before it, lead, doomed, untried options newest last).  The key is
+    # (owed, commit count, queue, partial, flag, pos), which fixes all of
+    # the search below the decision.
+    decisions: list[tuple[tuple, int, int, int, bool, list]] = []
+    # Decisions spent below each decision searched to exhaustion, by key.
+    # Backtracking inside a decision restores only records made inside it,
+    # and a key never recurs on its own path (pos grows within a codeword,
+    # the commit count across codewords), so a recurring key would spend
+    # exactly as much again and find nothing.
+    dead: dict[tuple, int] = {}
     nodes = 0
 
     def backtrack() -> bool:
+        """Resume at the next option worth walking; False when none is left.
+
+        Stops early, returning True, once the budget is spent: the caller's
+        next check then gives up.  An option seating ``term`` outside
+        ``lead`` appends the lead cells next, so when ``doomed`` or a lead
+        cell conflicts with ``term`` its walk fails before any decision or
+        commit: it costs one decision and is not walked.  An int among the
+        options stands for that many such rescue seats.
+        """
         nonlocal queue, partial, allowed, flag, pos, nodes
         nonlocal owed, n_owed, owed_on
         while decisions:
-            n_committed, part, part_allowed, px, options = decisions[-1]
+            if nodes > node_budget:
+                return True
+            key, start, part_allowed, lead, doomed, options = decisions[-1]
             if not options:
                 decisions.pop()
+                dead[key] = nodes - start
+                continue
+            option = options.pop()
+            if option.__class__ is int:
+                nodes += option
                 continue
             nodes += 1
+            term, next_flag = option
+            if (
+                term is not None
+                and not lead >> term & 1
+                and (doomed or lead & ~compat[term])
+            ):
+                continue
+            _, n_committed, queue, part, _, px = key
             if len(codewords) > n_committed:
                 owed, n_owed, owed_on = saved[n_committed]
                 del saved[n_committed:], codewords[n_committed:]
-            queue = (
-                [adv[cell] for cell in codewords[-1]]
-                if codewords
-                else list(seed_cells)
-            )
             partial = list(part)
             allowed = part_allowed
-            term, flag = options.pop(0)
+            flag = next_flag
             if term is not None:
                 partial.append(term)
                 allowed &= compat[term]
@@ -1036,11 +1096,12 @@ def _solve_schedule(
 
     while True:
         if nodes > node_budget:
+            # The plain search stops at the first decision past the budget.
             log.debug(
                 "sweep for K=%d, i=%d gave up after %d decisions",
                 K,
                 params.cache_units,
-                nodes,
+                node_budget + 1,
             )
             return None
         if pos == len(queue):
@@ -1077,7 +1138,7 @@ def _solve_schedule(
                     nodes,
                 )
                 return [ring.codeword(cw) for cw in codewords]
-            queue = [adv[cell] for cell in partial]
+            queue = tuple([adv[cell] for cell in partial])
             partial = []
             allowed = _ANY_CELL
             flag = 0
@@ -1104,6 +1165,31 @@ def _solve_schedule(
                     allowed &= compat[cell]
                 pos += 1
                 continue
+        key = (owed, len(codewords), queue, tuple(partial), flag, pos)
+        spent = dead.get(key)
+        if spent is not None:
+            nodes += spent
+            if nodes > node_budget or backtrack():
+                continue
+            return None
+        # lead: the owed cells an option appends next, up to the first
+        # cell not owed, the end of the queue or the arity cap; doomed:
+        # they conflict with each other or with the partial codeword.
+        lead = 0
+        doomed = False
+        fit = allowed
+        room = arity - len(partial) - 1
+        for cell in queue[pos + 1 :]:
+            if not room:
+                break
+            if cell in partial:
+                continue
+            if not owed >> cell & 1:
+                break
+            lead |= 1 << cell
+            doomed = doomed or not fit >> cell & 1
+            fit &= compat[cell]
+            room -= 1
         options = _replacement_choices(
             cand,
             flag,
@@ -1113,14 +1199,14 @@ def _solve_schedule(
             partial,
             allowed,
             budget - len(codewords),
+            lead,
+            doomed,
         )
-        nodes += 1
-        decisions.append((len(codewords), tuple(partial), allowed, pos, options))
-        term, flag = options.pop(0)
-        if term is not None:
-            partial.append(term)
-            allowed &= compat[term]
-        pos += 1
+        options.reverse()
+        decisions.append((key, nodes, allowed, lead, doomed, options))
+        if backtrack():
+            continue
+        return None
 
 
 def generate_schedule(

@@ -81,8 +81,9 @@ def verify_instantaneous_decodability(
     against the per-user complement of the layout: each demanded sub-packet
     must appear in exactly one codeword, and nothing else may appear.
 
-    A term whose user lies outside 1..K is reported once, as not demanded,
-    and its decodability is not checked.
+    A term whose user or packet lies outside 1..K is reported once, as
+    not demanded, and its decodability is not checked; nor is a companion
+    checked against a packet outside 1..K.
 
     The layout defaults to the instance's own cyclic placement; passing an
     explicit one checks a schedule against a different cache topology (the
@@ -94,10 +95,10 @@ def verify_instantaneous_decodability(
     violations: list[Violation] = []
     for ci, cw in enumerate(schedule.codewords):
         for u, p in cw:
-            if not 1 <= u <= K:
+            if not (1 <= u <= K and 1 <= p <= K):
                 continue
             for u2, p2 in cw:
-                if (u2, p2) == (u, p):
+                if (u2, p2) == (u, p) or not 1 <= p2 <= K:
                     continue
                 if not layout.knows(u, p2):
                     violations.append(
@@ -114,11 +115,19 @@ def verify_instantaneous_decodability(
     first_seen: dict[SubpacketId, int] = {}
     for ci, cw in enumerate(schedule.codewords):
         for term in cw:
-            user = term[0]
+            user, packet = term
             if not 1 <= user <= K:
                 violations.append(
                     Violation(
                         ci, term, f"not-demanded: user {user} is outside 1..{K}"
+                    )
+                )
+            elif not 1 <= packet <= K:
+                violations.append(
+                    Violation(
+                        ci,
+                        term,
+                        f"not-demanded: packet {packet} is outside 1..{K}",
                     )
                 )
             elif term in first_seen:
@@ -135,8 +144,8 @@ def verify_instantaneous_decodability(
                     Violation(
                         ci,
                         term,
-                        f"not-demanded: user {term.user} already caches "
-                        f"packet {term.packet}",
+                        f"not-demanded: user {user} already caches "
+                        f"packet {packet}",
                     )
                 )
             else:

@@ -5,10 +5,12 @@ the pairwise closed form."""
 import dataclasses
 import logging
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,18 @@ from hypothesis import strategies as st
 
 from cachecode import delivery
 from cachecode.delivery import (
-    _SWEEP_NODE_BUDGET,
     _ANY_CELL,
-    _Ring,
+    _PARTNER,
+    _SWEEP_NODE_BUDGET,
+    Codeword,
+    SchemeConstants,
+    _bits,
+    _checked_tail,
+    _diagonals_feasible,
     _replacement_choices,
+    _Ring,
     _rule_cell,
+    _run_ahead,
     _solve_schedule,
     _spacing,
     closed_form_pairs,
@@ -34,6 +43,7 @@ from cachecode.delivery import (
 )
 from cachecode.errors import InstanceError, NoSeedTerm, RegimeError
 from cachecode.model import (
+    CacheLayout,
     SubpacketId,
     SystemParams,
     build_cache_layout,
@@ -234,7 +244,7 @@ class TestReplacementChoices:
         self.ring = _Ring(build_cache_layout(instance(6, 4)))
         self.owed = set(build_demand_list(instance(6, 4)))
 
-    def choices(self, dead, flag, owed=None):
+    def choices(self, dead, flag, owed=None, lead=(), doomed=False):
         ring = self.ring
         cells = [ring.cell(t) for t in (self.owed if owed is None else owed)]
         owed_on = [0] * 6
@@ -243,9 +253,12 @@ class TestReplacementChoices:
         options = _replacement_choices(
             ring.cell(dead), flag, ring, sum(1 << c for c in cells),
             owed_on, [], _ANY_CELL, 3,
+            sum(1 << ring.cell(t) for t in lead), doomed,
         )
         return [
-            (None if c is None else ring.terms[c], k) for c, k in options
+            option if isinstance(option, int)
+            else (None if option[0] is None else ring.terms[option[0]], option[1])
+            for option in options
         ]
 
     def test_unset_flag_tries_the_rules_in_order(self):
@@ -274,6 +287,33 @@ class TestReplacementChoices:
 
     def test_nothing_owed_leaves_only_abandoning(self):
         assert self.choices(SubpacketId(1, 4), 2, set()) == [(None, 2)]
+
+    def test_rescues_that_all_fail_on_the_lead_are_counted(self):
+        # Doomed lead cells fail every seat outside them: the rescues
+        # become their count, between the rules and abandoning.
+        ranked = self.choices(SubpacketId(1, 4), 0)
+        counted = self.choices(
+            SubpacketId(1, 4), 0, lead=[SubpacketId(1, 5)], doomed=True
+        )
+        assert counted == ranked[:2] + [len(ranked) - 3, (None, 0)]
+
+    def test_a_lead_cell_conflicting_with_every_seat_counts_them(self):
+        # Besides the two rule seats only (1,6), (2,6) and (6,5) are owed,
+        # and each conflicts with the lead cell (1,5).
+        owed = {
+            SubpacketId(u, p) for u, p in [(1, 5), (1, 6), (2, 6), (6, 4), (6, 5)]
+        }
+        ranked = self.choices(SubpacketId(1, 4), 0, owed)
+        assert len(ranked) == 6
+        counted = self.choices(SubpacketId(1, 4), 0, owed, lead=[SubpacketId(1, 5)])
+        assert counted == ranked[:2] + [3, (None, 0)]
+
+    def test_a_rescue_seat_inside_the_lead_keeps_the_ranking(self):
+        ranked = self.choices(SubpacketId(1, 4), 0)
+        seat = ranked[2][0]
+        assert self.choices(
+            SubpacketId(1, 4), 0, lead=[seat], doomed=True
+        ) == ranked
 
 
 class TestGenerateSchedule:
@@ -433,6 +473,308 @@ class TestSweepNodeBudget:
         with caplog.at_level(logging.DEBUG, logger="cachecode.delivery"):
             self.solve(K, i)
         assert caplog.messages == [f"sweep for K={K}, i={i} {outcome}"]
+
+
+# The plain depth-first sweep that the counting one replaced, kept verbatim
+# as a reference: `TestSweepMatchesReference` checks that both return the
+# same schedule and log the same decisions spent under every budget.
+log = logging.getLogger("cachecode.delivery")
+
+
+def reference_replacement_choices(
+    dead: int,
+    flag: int,
+    ring: _Ring,
+    owed: int,
+    owed_on: Sequence[int],
+    partial: Sequence[int],
+    allowed: int,
+    steps_left: int,
+) -> list[tuple[int | None, int]]:
+    """Ordered placement options for a term whose advance was already served.
+
+    The four local rules of :func:`_rule_cell` come first, each only if
+    the cell it lands on is owed and fits the codeword.  Once a rule has
+    fired, later replacements in the same codeword try its partner rule
+    first (1 and 2 pair up, as do 3 and 4).  When the rules dead-end
+    the term may re-seat on any still-owed sub-packet compatible with the
+    codeword built so far; rescues prefer diagonals holding the most owed
+    cells per committed term, then seats whose unobstructed run matches the
+    transmissions left.  Abandoning the term is the final option.
+
+    ``owed`` is the owed-cell mask, ``owed_on[d]`` the owed cells on
+    diagonal d, and ``allowed`` the cells compatible with every term of
+    ``partial``.
+    """
+    K = ring.n_users
+    choices: list[tuple[int | None, int]] = []
+    seen = 0
+    if flag == 0:
+        order: tuple[int, ...] = (1, 2, 3, 4)
+    else:
+        first = _PARTNER[flag]
+        order = (first,) + tuple(k for k in (1, 2, 3, 4) if k != first)
+    fits = owed & allowed
+    for k in order:
+        cand = _rule_cell(dead, k, K)
+        if fits >> cand & 1 and not seen >> cand & 1:
+            choices.append((cand, k))
+            seen |= 1 << cand
+    diag, adv = ring.diag, ring.adv
+    claimed = 0
+    committed = [0] * K
+    for t in partial:
+        claimed |= 1 << t
+        committed[diag[t]] += 1
+    free = owed & ~claimed
+    rescue: list[tuple[float, int, int]] = []
+    for cell in _bits(free & allowed & ~seen):
+        d = diag[cell]
+        need = owed_on[d] / (1 + committed[d])
+        fit = abs(_run_ahead(cell, free, adv, K) - steps_left)
+        rescue.append((-need, fit, cell))
+    rescue.sort()
+    choices.extend((cell, 0) for _, _, cell in rescue)
+    choices.append((None, flag))
+    return choices
+
+
+def reference_solve_schedule(
+    params: SystemParams,
+    layout: CacheLayout,
+    consts: SchemeConstants,
+    seed: Sequence[SubpacketId],
+    demand_cells: Sequence[SubpacketId],
+    node_budget: int = _SWEEP_NODE_BUDGET,
+) -> list[Codeword] | None:
+    """Depth-first construction of an exact-length schedule by sweeping.
+
+    Follows the advancing sweep greedily -- owed terms are kept, served
+    terms patched through :func:`_replacement_choices` -- and backtracks
+    over replacement placements whenever the counting bounds show the
+    remainder cannot finish within budget.  Every appended term is checked
+    against the whole codeword under construction, so the result is
+    instantaneously decodable by construction.
+
+    Returns None when the search space is exhausted or ``node_budget``
+    replacement decisions were spent without completing a schedule.
+    """
+    K = params.n_users
+    arity, budget, stride = consts.arity, consts.n_transmissions, consts.stride
+    ring = _Ring(layout)
+    compat, adv, diag = ring.compat, ring.adv, ring.diag
+    owed = 0
+    for term in demand_cells:
+        owed |= 1 << ring.cell(term)
+    n_owed = owed.bit_count()
+    owed_on = [0] * K
+    for cell in _bits(owed):
+        owed_on[diag[cell]] += 1
+    seed_cells = [ring.cell(term) for term in seed]
+    codewords: list[list[int]] = []
+    queue = list(seed_cells)
+    # The codeword under construction and the cells compatible with all
+    # of its terms.
+    partial: list[int] = []
+    allowed = _ANY_CELL
+    flag = 0
+    pos = 0
+    # The owed state before each committed codeword.  Between two commits
+    # only (partial, flag, pos) change, so a decision records the commit
+    # count, and backtracking restores the owed state from here.
+    saved: list[tuple[int, int, list[int]]] = []
+    # Untried options for each replacement decision, newest last.
+    decisions: list[
+        tuple[int, tuple[int, ...], int, int, list[tuple[int | None, int]]]
+    ] = []
+    nodes = 0
+
+    def backtrack() -> bool:
+        nonlocal queue, partial, allowed, flag, pos, nodes
+        nonlocal owed, n_owed, owed_on
+        while decisions:
+            n_committed, part, part_allowed, px, options = decisions[-1]
+            if not options:
+                decisions.pop()
+                continue
+            nodes += 1
+            if len(codewords) > n_committed:
+                owed, n_owed, owed_on = saved[n_committed]
+                del saved[n_committed:], codewords[n_committed:]
+            queue = (
+                [adv[cell] for cell in codewords[-1]]
+                if codewords
+                else list(seed_cells)
+            )
+            partial = list(part)
+            allowed = part_allowed
+            term, flag = options.pop(0)
+            if term is not None:
+                partial.append(term)
+                allowed &= compat[term]
+            pos = px + 1
+            return True
+        return False
+
+    while True:
+        if nodes > node_budget:
+            log.debug(
+                "sweep for K=%d, i=%d gave up after %d decisions",
+                K,
+                params.cache_units,
+                nodes,
+            )
+            return None
+        if pos == len(queue):
+            if not partial:
+                if backtrack():
+                    continue
+                return None
+            done = len(codewords) + 1
+            steps = budget - done
+            left = n_owed - len(partial)
+            # Without the tail construction (possible only while at least
+            # K cells are owed) the term count can never grow again.
+            cap = arity if left >= K else min(arity, len(partial))
+            left_on = list(owed_on)
+            for cell in partial:
+                left_on[diag[cell]] -= 1
+            if left > cap * steps or (
+                left and not _diagonals_feasible(left_on, steps, K, stride)
+            ):
+                if backtrack():
+                    continue
+                return None
+            saved.append((owed, n_owed, owed_on))
+            for cell in partial:
+                owed ^= 1 << cell
+            n_owed = left
+            owed_on = left_on
+            codewords.append(partial)
+            if not owed:
+                log.debug(
+                    "sweep for K=%d, i=%d done after %d decisions",
+                    K,
+                    params.cache_units,
+                    nodes,
+                )
+                return [ring.codeword(cw) for cw in codewords]
+            queue = [adv[cell] for cell in partial]
+            partial = []
+            allowed = _ANY_CELL
+            flag = 0
+            pos = 0
+            continue
+        cand = queue[pos]
+        if len(partial) >= arity or cand in partial:
+            pos += 1
+            continue
+        if owed >> cand & 1:
+            if allowed >> cand & 1:
+                partial.append(cand)
+                allowed &= compat[cand]
+                pos += 1
+                continue
+            if backtrack():
+                continue
+            return None
+        if not partial and n_owed == K:
+            tail = _checked_tail(ring, owed, params)
+            if tail is not None:
+                partial = tail
+                for cell in tail:
+                    allowed &= compat[cell]
+                pos += 1
+                continue
+        options = reference_replacement_choices(
+            cand,
+            flag,
+            ring,
+            owed,
+            owed_on,
+            partial,
+            allowed,
+            budget - len(codewords),
+        )
+        nodes += 1
+        decisions.append((len(codewords), tuple(partial), allowed, pos, options))
+        term, flag = options.pop(0)
+        if term is not None:
+            partial.append(term)
+            allowed &= compat[term]
+        pos += 1
+
+
+# Two sweeps that finish (13:9, and 23:13 after 15709 decisions) and seven
+# fallback-class instances whose sweep gives up at the default budget.
+EQUIVALENCE_INSTANCES = [
+    (13, 9), (13, 10), (16, 12), (17, 13), (19, 10),
+    (21, 17), (22, 16), (23, 13), (24, 20),
+]
+# Budgets from none to the default; 15708 and 15709 sit on either side of
+# 23:13 finishing, and the search runs out of budget inside replayed
+# states, inside runs of counted rescues, on single counted options and on
+# walked ones.
+EQUIVALENCE_BUDGETS = [0, 1, 2, 3, 7, 50, 1000, 5000, 15708, 15709, 20000]
+
+
+def sweep_outcome(solve, K, i, budget, caplog, seed=None):
+    """What one sweep run shows: its codewords and its log messages."""
+    params = instance(K, i)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cachecode.delivery"):
+        codewords = solve(
+            params,
+            build_cache_layout(params),
+            scheme_constants(params),
+            initial_codeword_terms(params) if seed is None else seed,
+            build_demand_list(params),
+            budget,
+        )
+    return codewords, list(caplog.messages)
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("K,i", EQUIVALENCE_INSTANCES)
+    def test_same_result_and_decisions_under_every_budget(self, K, i, caplog):
+        for budget in EQUIVALENCE_BUDGETS:
+            assert sweep_outcome(
+                _solve_schedule, K, i, budget, caplog
+            ) == sweep_outcome(reference_solve_schedule, K, i, budget, caplog), budget
+
+    def test_seeds_longer_than_the_arity(self, caplog):
+        # With a seed longer than the arity, the arity cap cuts short the
+        # owed cells an option appends next; no generated seed is that long.
+        rng = random.Random(8)
+        for _ in range(30):
+            K = rng.randrange(6, 14)
+            i = rng.randrange(K // 2 + 1, K)
+            users = range(1, K + 1)
+            cells = [SubpacketId(u, p) for u in users for p in users]
+            seed = rng.sample(cells, scheme_constants(instance(K, i)).arity + 2)
+            for budget in (50, 1000):
+                assert sweep_outcome(
+                    _solve_schedule, K, i, budget, caplog, seed
+                ) == sweep_outcome(
+                    reference_solve_schedule, K, i, budget, caplog, seed
+                ), (K, i, seed, budget)
+
+    def test_known_outcomes_are_not_expanded_again(self, caplog, monkeypatch):
+        calls = []
+        real = delivery._replacement_choices
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(delivery, "_replacement_choices", spy)
+        codewords, messages = sweep_outcome(
+            _solve_schedule, 13, 10, _SWEEP_NODE_BUDGET, caplog
+        )
+        assert codewords is None
+        assert messages == ["sweep for K=13, i=10 gave up after 20001 decisions"]
+        # The plain search expands 6157 decisions here.
+        assert len(calls) == 2029
 
 
 class TestSpacing:

@@ -3,8 +3,11 @@
 Generates all 276 instances 2 <= K <= 24, 1 <= i <= K-1 once.  Their
 digest (see ``scripts/schedule_digest.py``) must equal the pinned value,
 so any change to schedule generation that alters a single term fails here,
-and every one of the schedules must pass the decodability verifier.  Nine
-fallback instances, eight of them past K = 24, are pinned the same way.
+and every one of the schedules must pass the decodability verifier.  The
+sweep search's debug lines, which say how many decisions each instance
+spent, are captured during the same run and pinned by their own digest.
+Nine fallback instances, eight of them past K = 24, are pinned the same
+way as the grid.
 """
 
 import importlib.util
@@ -16,6 +19,9 @@ from cachecode.verify import verify_instantaneous_decodability
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "schedule_digest.py"
 GRID24_DIGEST = "dc45ef230d79d3c2d9e6ea3a035b557cf3377be3653749f267f0c3d6685fa32a"
+GRID24_DECISIONS_DIGEST = (
+    "7c74a7a4debce3fe588afa1e9c42305ecc7a664b3b75a5e0e11151d26c50b566"
+)
 FALLBACK_DIGESTS = [
     # K=22, i=16; K=31, i=26; K=32, i=27: the sweep gives up on each, the
     # spaced-run cover is searched in vain, and min-conflicts finishes them
@@ -44,12 +50,28 @@ digest_script = load_script()
 
 
 @pytest.fixture(scope="module")
-def grid24():
-    return [digest_script.instance_schedule(K, i) for K, i in digest_script.GRID24]
+def grid24_run():
+    """The grid's schedules and the sweep lines logged while making them."""
+    with digest_script.sweep_lines() as lines:
+        schedules = [
+            digest_script.instance_schedule(K, i) for K, i in digest_script.GRID24
+        ]
+    return schedules, lines
+
+
+@pytest.fixture(scope="module")
+def grid24(grid24_run):
+    return grid24_run[0]
 
 
 def test_grid24_digest_is_pinned(grid24):
     assert digest_script.digest_of(grid24) == GRID24_DIGEST
+
+
+def test_grid24_decisions_are_pinned(grid24_run):
+    lines = grid24_run[1]
+    assert len(lines) == len(digest_script.GRID24)
+    assert digest_script.lines_digest(lines) == GRID24_DECISIONS_DIGEST
 
 
 def test_grid24_is_decodable_on_sight(grid24):
@@ -72,6 +94,16 @@ def test_fallback_instances_past_k24_are_pinned(instances, digest, capsys):
 def test_canonical_line_format():
     schedule = digest_script.instance_schedule(4, 3)
     assert digest_script.canonical_line(schedule) == "4 3 1:4,2:1,3:2,4:3\n"
+
+
+def test_decisions_digest_covers_the_sweep_lines(capsys):
+    assert digest_script.main(["--decisions", "--instances", "4:3,13:10"]) == 0
+    assert capsys.readouterr().out.strip() == digest_script.lines_digest(
+        [
+            "sweep for K=4, i=3 done after 0 decisions\n",
+            "sweep for K=13, i=10 gave up after 20001 decisions\n",
+        ]
+    )
 
 
 def test_digest_cli_takes_an_instance_list(capsys):

@@ -107,6 +107,27 @@ class TestStructuralVerifier:
         ]
         assert len(report.violations) == 1 + companion
 
+    @pytest.mark.parametrize("packet", [0, 7])
+    @pytest.mark.parametrize("companion", [False, True])
+    def test_a_packet_outside_the_instance_is_one_not_demanded_term(
+        self, packet, companion
+    ):
+        # K=6, i=4: the companion (1, 5) is checked against no packet of
+        # the stray term, so only the stray term is at fault (besides the
+        # companion being sent twice).
+        stray = SubpacketId(2, packet)
+        extra = (SubpacketId(1, 5), stray) if companion else (stray,)
+        base = generate_schedule(instance(6, 4))
+        tampered = schedule_with(base.params, list(base.codewords) + [extra])
+        report = verify_instantaneous_decodability(tampered)
+        assert report.decodable
+        assert not report.coverage_ok
+        n = len(base.codewords)
+        assert [v for v in report.violations if v.term == stray] == [
+            (n, stray, f"not-demanded: packet {packet} is outside 1..6")
+        ]
+        assert len(report.violations) == 1 + companion
+
     def test_plain_tuple_terms_are_checked_like_subpacket_ids(self):
         base = generate_schedule(instance(6, 4))
         plain = [tuple((u, p) for u, p in cw) for cw in base.codewords]
@@ -116,6 +137,13 @@ class TestStructuralVerifier:
         )
         assert [v.reason for v in report.violations] == [
             "not-demanded: user 7 is outside 1..6"
+        ]
+        report = verify_instantaneous_decodability(
+            schedule_with(base.params, plain + [((1, 9),), ((1, 2),)])
+        )
+        assert [v.reason for v in report.violations] == [
+            "not-demanded: packet 9 is outside 1..6",
+            "not-demanded: user 1 already caches packet 2",
         ]
 
     def test_full_cache_empty_schedule_is_ok(self):
