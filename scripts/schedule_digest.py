@@ -7,6 +7,7 @@ to schedule generation that keeps it identical must keep the digest:
     python scripts/schedule_digest.py                   # the K <= 24 grid
     python scripts/schedule_digest.py --instances 22:16,31:26
     python scripts/schedule_digest.py --decisions       # decisions spent
+    python scripts/schedule_digest.py --k40             # every K <= 40 that ends
 
 The canonical text has one line per instance, in list order: ``"K i "``,
 then the codewords joined by ``;``, each codeword being its terms written
@@ -31,6 +32,21 @@ from typing import Iterable, Iterator
 from cachecode import SystemParams, TransmissionSchedule, generate_schedule
 
 GRID24 = [(K, i) for K in range(2, 25) for i in range(1, K)]
+
+# The instances with K <= 40 whose orbit fallback runs without bound: none
+# of them finished within 25 s, where every other one takes at most about
+# 24 s.
+K40_UNBOUNDED = {
+    (27, 15), (29, 16), (31, 17), (31, 22), (33, 18), (33, 26), (34, 24),
+    (35, 19), (36, 30), (37, 20), (37, 26), (37, 29), (38, 30), (39, 21),
+    (39, 32), (40, 28),
+}
+K40 = [
+    (K, i)
+    for K in range(2, 41)
+    for i in range(1, K)
+    if (K, i) not in K40_UNBOUNDED
+]
 
 
 def instance_schedule(K: int, i: int) -> TransmissionSchedule:
@@ -111,6 +127,12 @@ def main(argv: list[str] | None = None) -> int:
         help="all 276 instances 2 <= K <= 24, 1 <= i <= K-1 (the default)",
     )
     group.add_argument(
+        "--k40",
+        action="store_true",
+        help="the 764 instances 2 <= K <= 40, 1 <= i <= K-1 that finish "
+        "(minutes)",
+    )
+    group.add_argument(
         "--instances",
         type=parse_instances,
         metavar="K:i,...",
@@ -122,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         help="digest the sweep's decision-count log lines, not the schedules",
     )
     args = parser.parse_args(argv)
-    instances = args.instances or GRID24
+    instances = args.instances or (K40 if args.k40 else GRID24)
     if args.decisions:
         with sweep_lines() as lines:
             for K, i in instances:

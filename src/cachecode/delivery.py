@@ -23,15 +23,17 @@ so its decision budget and its schedules are those of the plain search.
 
 A few tightly budgeted instances admit no schedule under the sweeping
 discipline (a kept term can wall off every compatible re-seat).  Those fall
-back to equivalent constructions with the same transmission count, tried in
-three steps (:func:`_orbit_schedule`): a cover by shift orbits of base
-codewords; transversal orbits plus a direct tiling of the diagonals they
-leave over; and a direct tiling of the whole owed region.  A tiling packs
-diagonals into exactly the right number of codewords, by shifted runs when
-it can and otherwise by seeded min-conflicts local search.  Every orbit
-shifts a base codeword found by one search (:func:`_orbit_base`), and every
-construction bounds how densely a codeword can sample a diagonal by one
-spacing rule (:func:`_spacing`).
+back to equivalent constructions with the same transmission count
+(:func:`_orbit_schedule`).  Each is a plan: blocks of owed diagonals, each
+swept by the shift orbit of one base codeword, and the diagonals left over,
+tiled directly.  The plans, in order: every coset cover, whose blocks take
+all diagonals; striped transversal groups plus the loose diagonals; and
+the whole owed region, tiled.  A tiling packs diagonals into exactly the
+right number of codewords, by shifted runs when it can and otherwise by
+seeded min-conflicts local search.  Every orbit shifts a base codeword
+found by one search (:func:`_orbit_base`), and every construction bounds
+how densely a codeword can sample a diagonal by the spacing the ring holds
+for each diagonal (:class:`_Ring`).
 
 A separate closed-form generator covers the small-cache regime
 (1 < i <= K/2), where every codeword pairs at most two sub-packets.
@@ -50,7 +52,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import InstanceError, NoSeedTerm, RegimeError, ScheduleError
 from .model import (
@@ -286,12 +288,21 @@ class _Ring:
     further, (u+1, p+1), and ``diag[c]`` the diagonal p - u mod K it stays
     on.  Under cyclic placement two cells are compatible exactly when the
     user offset between them suits both diagonals.
+
+    Two cells of diagonal d in one codeword are at least ``spacing[d]`` =
+    max(d - i + 1, K - d) users apart around the ring, so a codeword holds
+    at most ``team[d]`` = K // spacing[d] of them.  The demands fill the
+    ``owed_diagonals`` i..K-1.
     """
 
-    __slots__ = ("n_users", "compat", "adv", "diag", "terms")
+    __slots__ = (
+        "n_users", "compat", "adv", "diag", "terms",
+        "spacing", "team", "owed_diagonals",
+    )
 
     def __init__(self, layout: CacheLayout) -> None:
         K = layout.n_users
+        i = len(layout.packets(1))
         cells = range(K * K)
         row = (1 << K) - 1
         every_row = sum(1 << (r * K) for r in range(K))
@@ -308,6 +319,9 @@ class _Ring:
         self.adv = [self.shift(c, 1) for c in cells]
         self.diag = [(c % K - c // K) % K for c in cells]
         self.terms = [SubpacketId(c // K + 1, c % K + 1) for c in cells]
+        self.spacing = [max(d - i + 1, K - d) for d in range(K)]
+        self.team = [K // gap for gap in self.spacing]
+        self.owed_diagonals = range(i, K)
 
     def cell(self, term: SubpacketId) -> int:
         return (term.user - 1) * self.n_users + term.packet - 1
@@ -441,31 +455,17 @@ def _replacement_choices(
     return choices
 
 
-def _spacing(offset: int, n_users: int, stride: int) -> int:
-    """Least circular user distance between two terms on one diagonal.
-
-    Codeword terms sharing diagonal ``offset`` (packet minus user, mod K)
-    must be at least max(stride - gap, gap) users apart, where
-    gap = K - offset, so one codeword holds at most K // spacing of that
-    diagonal's cells.
-    """
-    gap = n_users - offset
-    return max(stride - gap, gap)
-
-
 def _diagonals_feasible(
-    left_on: Sequence[int], steps: int, n_users: int, stride: int
+    left_on: Sequence[int], steps: int, team: Sequence[int]
 ) -> bool:
     """Necessary condition for finishing the owed cells in ``steps``.
 
     ``left_on[d]`` counts the cells left on diagonal d; one transmission
-    ships at most K // :func:`_spacing` of them.
+    ships at most ``team[d]`` of them (see :class:`_Ring`).
     """
-    for d, count in enumerate(left_on):
-        if count:
-            team = n_users // _spacing(d, n_users, stride)
-            if -(-count // team) > steps:
-                return False
+    for count, size in zip(left_on, team):
+        if count > size * steps:
+            return False
     return True
 
 
@@ -647,9 +647,7 @@ def _tile_minconf(
                 if target >= cur:
                     target += 1
                 seats = members[target]
-                partner = seats[rng.randrange(len(seats))] if seats else -1
-                if partner < 0:
-                    continue
+                partner = seats[rng.randrange(len(seats))]
             else:
                 cell_adj = adj[cell]
                 best: int | None = None
@@ -715,15 +713,18 @@ def _spaced_run_cover(
     With d coprime to K, the multiples of d walk through every user index,
     so a base codeword holding m consecutive d-multiples on each listed
     diagonal, shifted q times by m*d, covers the first m*q multiples on
-    each diagonal exactly once.  The K - m*q cells left at the end of each
-    walk become extras, placed one by one into spare codeword capacity or
-    into fresh codewords until the total count lands exactly on
-    ``n_cliques``.  Everything is tried in one fixed order, smallest m and
-    largest q first, so the result is deterministic.
+    each diagonal exactly once.  The last K - m*q multiples of each walk
+    become extras, seated one by one into the first shifted codeword with
+    room and full mutual caching, an already opened extra codeword, or a
+    fresh one while fewer than n_cliques - q are open; the first
+    depth-first seating that lands the count exactly on ``n_cliques``
+    wins.  Everything is tried in one fixed order, smallest m and largest q
+    first, so the result is deterministic.
     """
     K = ring.n_users
+    compat = ring.compat
     n_diag = len(offsets)
-    if n_diag == 0 or arity < n_diag:
+    if n_diag == 0:
         return None
     bases: dict[tuple[int, int], list[int] | None] = {}
     for m in range(1, arity // n_diag + 1):
@@ -738,8 +739,6 @@ def _spaced_run_cover(
                 continue
             if extras_total > q * spare + n_extra * arity:
                 continue
-            if extras_total and not n_extra and not spare:
-                continue
             for d in range(1, K):
                 if math.gcd(d, K) != 1:
                     continue
@@ -752,82 +751,48 @@ def _spaced_run_cover(
                 base = bases[m, d]
                 if base is None:
                     continue
-                built = _spaced_assemble(
-                    base, offsets, m, q, d, rem, n_extra, spare,
-                    arity, ring,
-                )
-                if built is not None:
-                    return built
+                # The q shifted codewords first, then the extra ones.
+                cliques = [
+                    [ring.shift(c, r * m * d) for c in base] for r in range(q)
+                ]
+                extras = [
+                    ring.on_diagonal(
+                        (base[k * m] // K + (m * q + x) * d) % K, off
+                    )
+                    for k, off in enumerate(offsets)
+                    for x in range(rem)
+                ]
+                budget = 200_000
+
+                def seat(idx: int) -> bool:
+                    nonlocal budget
+                    budget -= 1
+                    if budget < 0:
+                        return False
+                    opened = len(cliques) - q
+                    if idx == len(extras):
+                        return opened == n_extra
+                    if opened + (len(extras) - idx) < n_extra:
+                        return False
+                    cell = extras[idx]
+                    for clique in cliques:
+                        if len(clique) < arity and all(
+                            compat[cell] >> c & 1 for c in clique
+                        ):
+                            clique.append(cell)
+                            if seat(idx + 1):
+                                return True
+                            clique.pop()
+                    if opened < n_extra:
+                        cliques.append([cell])
+                        if seat(idx + 1):
+                            return True
+                        cliques.pop()
+                    return False
+
+                if seat(0):
+                    return [tuple(sorted(c)) for c in cliques]
     return None
-
-
-def _spaced_assemble(
-    base: Sequence[int],
-    offsets: Sequence[int],
-    m: int,
-    q: int,
-    d: int,
-    rem: int,
-    n_extra: int,
-    spare: int,
-    arity: int,
-    ring: _Ring,
-) -> list[tuple[int, ...]] | None:
-    """Shift the base q times and seat the leftover cells, exactly.
-
-    Extras are the last ``rem`` d-multiples of each diagonal walk.  Each is
-    placed into the first shifted codeword with room and full mutual
-    caching, an already opened extra codeword, or a fresh one while any of
-    the ``n_extra`` budgeted codewords remains unopened; the first
-    depth-first assignment that uses the budget exactly wins.
-    """
-    K = ring.n_users
-    cliques = [[ring.shift(c, r * m * d) for c in base] for r in range(q)]
-    anchors = {off: base[idx * m] // K for idx, off in enumerate(offsets)}
-    extras = [
-        ring.on_diagonal((anchors[off] + (m * q + x) * d) % K, off)
-        for off in offsets
-        for x in range(rem)
-    ]
-    extra_cliques: list[list[int]] = []
-    budget = 200_000
-
-    def fits(cell: int, clique: Sequence[int]) -> bool:
-        allowed = ring.compat[cell]
-        return all(allowed >> c & 1 for c in clique)
-
-    def seat(idx: int) -> bool:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            return False
-        if idx == len(extras):
-            return len(extra_cliques) == n_extra
-        if len(extra_cliques) + (len(extras) - idx) < n_extra:
-            return False
-        cell = extras[idx]
-        for clique in cliques:
-            if len(clique) - len(base) < spare and fits(cell, clique):
-                clique.append(cell)
-                if seat(idx + 1):
-                    return True
-                clique.pop()
-        for clique in extra_cliques:
-            if len(clique) < arity and fits(cell, clique):
-                clique.append(cell)
-                if seat(idx + 1):
-                    return True
-                clique.pop()
-        if len(extra_cliques) < n_extra:
-            extra_cliques.append([cell])
-            if seat(idx + 1):
-                return True
-            extra_cliques.pop()
-        return False
-
-    if not seat(0):
-        return None
-    return [tuple(sorted(c)) for c in cliques + extra_cliques]
 
 
 def _tile_leftover(
@@ -835,64 +800,54 @@ def _tile_leftover(
     n_cliques: int,
     arity: int,
     ring: _Ring,
-    stride: int,
-) -> list[tuple[int, ...]] | None:
+) -> tuple[list[tuple[int, ...]], str] | None:
     """Tile a union of full diagonals into exactly ``n_cliques`` codewords.
 
     Tries the structured spaced-run cover first; most instances that reach
     this point have one.  The irregular rest falls to the min-conflicts
-    local search, which returns None when all its restarts stall.
+    local search, which returns None when all its restarts stall.  Returns
+    the tiling and the name of the tiler that built it ("" for no
+    diagonals), or None.
     """
     K = ring.n_users
-
-    def min_cliques(offs: Sequence[int]) -> int:
-        lo = -(-len(offs) * K // arity)
-        for off in offs:
-            team = min(arity, K // _spacing(off, K, stride))
-            lo = max(lo, -(-K // team))
-        return lo
-
     if not offsets:
-        return [] if n_cliques == 0 else None
-    if min_cliques(offsets) > n_cliques:
+        return ([], "") if n_cliques == 0 else None
+    lower = -(-len(offsets) * K // arity)
+    for off in offsets:
+        lower = max(lower, -(-K // min(arity, ring.team[off])))
+    if lower > n_cliques:
         return None
     built = _spaced_run_cover(offsets, n_cliques, arity, ring)
     if built is not None:
-        return built
+        return built, "spaced run"
     cells = [ring.on_diagonal(u, off) for off in offsets for u in range(K)]
-    return _tile_minconf(cells, n_cliques, arity, ring)
+    built = _tile_minconf(cells, n_cliques, arity, ring)
+    return None if built is None else (built, "min-conflicts")
 
 
 def _coset_cover(
-    params: SystemParams, ring: _Ring, consts: SchemeConstants
-) -> list[tuple[int, ...]] | None:
-    """Shift-orbit cover of all owed diagonals, when the counts allow one.
+    ring: _Ring, consts: SchemeConstants
+) -> Iterator[list[tuple[int, list[int]]]]:
+    """Block lists of shift-orbit covers of all owed diagonals.
 
     Assigns each diagonal a multiplicity m (cells per codeword, a divisor
     of K, with coset spacing K/m no tighter than the diagonal's minimum),
-    packs diagonals of equal multiplicity into blocks of at most
-    floor(arity/m), and sweeps each block with :func:`_block_orbit`.  A
-    multiplicity profile is usable only when the block counts add up to
-    exactly the required number of transmissions; all profiles are
-    enumerated and the first that also admits base codewords wins.
+    and packs diagonals of equal multiplicity into blocks (m, diagonals)
+    of at most floor(arity/m).  A multiplicity profile is usable only when
+    the block counts add up to exactly the required number of
+    transmissions; yields the blocks of every usable profile in turn.
     """
-    K, i = params.n_users, params.cache_units
-    arity, total, stride = consts.arity, consts.n_transmissions, consts.stride
-    offsets = list(range(i, K))
-
-    def cap(off: int) -> int:
-        return K // _spacing(off, K, stride)
-
-    by_cap = sorted(offsets, key=lambda off: (cap(off), off))
-    caps = [cap(off) for off in by_cap]
+    K = ring.n_users
+    arity, total = consts.arity, consts.n_transmissions
+    offsets = ring.owed_diagonals
+    by_cap = sorted(offsets, key=lambda off: (ring.team[off], off))
+    caps = [ring.team[off] for off in by_cap]
     divisors = [m for m in range(1, arity + 1) if K % m == 0]
     profiles: list[list[int]] = []
 
     def enumerate_profiles(
         idx: int, left: int, cws: int, profile: list[int]
     ) -> None:
-        if cws > total:
-            return
         if idx == len(divisors):
             if left == 0 and cws == total:
                 profiles.append(profile.copy())
@@ -918,16 +873,51 @@ def _coset_cover(
         mults.sort()
         if any(m > c for m, c in zip(mults, caps)):
             continue
-        assigned: dict[int, list[int]] = {}
-        for off, m in zip(by_cap, mults):
-            assigned.setdefault(m, []).append(off)
         blocks: list[tuple[int, list[int]]] = []
-        for m in sorted(assigned):
-            group = sorted(assigned[m])
+        for m in sorted(set(mults)):
+            group = sorted(off for off, k in zip(by_cap, mults) if k == m)
             width = arity // m
             blocks.extend(
                 (m, group[g : g + width]) for g in range(0, len(group), width)
             )
+        yield blocks
+
+
+def _orbit_schedule(
+    ring: _Ring, consts: SchemeConstants
+) -> list[tuple[int, ...]] | None:
+    """Cyclic construction for instances the sweep search cannot finish.
+
+    The owed region is a union of K-i full diagonals.  Every construction
+    is a plan: blocks of diagonals, each swept by the shift orbit of a
+    base with m cells per diagonal (:func:`_block_orbit`), and the
+    diagonals left over, tiled by :func:`_tile_leftover` into the
+    codewords the orbits leave to the closed-form total.  The first plan
+    whose orbits and tiling all exist wins, in this order:
+
+    1. coset: every multiplicity profile of :func:`_coset_cover`, with
+       nothing left over; there is none when no profile matches the
+       transmission count, as for prime K;
+    2. transversal, when at least ``arity`` diagonals are owed: the rest
+       striped in offset order into (K-i) // arity groups, each swept by
+       a transversal orbit (one cell per diagonal), and the (K-i) % arity
+       loosest-spaced diagonals left over;
+    3. whole-region: no blocks, every owed diagonal left over.
+
+    Logs which plan finished and, when it tiled any diagonals, by which
+    tiler.
+    """
+    offsets = ring.owed_diagonals
+    plans = [("coset", blocks, []) for blocks in _coset_cover(ring, consts)]
+    n_groups = len(offsets) // consts.arity
+    if n_groups:
+        by_spacing = sorted(offsets, key=lambda off: (ring.spacing[off], off))
+        n_loose = len(offsets) % consts.arity
+        grouped = sorted(by_spacing[n_loose:])
+        stripes = [(1, grouped[g::n_groups]) for g in range(n_groups)]
+        plans.append(("transversal", stripes, sorted(by_spacing[:n_loose])))
+    plans.append(("whole-region", [], offsets))
+    for name, blocks, leftover in plans:
         codewords: list[tuple[int, ...]] = []
         for m, block in blocks:
             orbit = _block_orbit(block, m, ring)
@@ -935,54 +925,19 @@ def _coset_cover(
                 break
             codewords.extend(orbit)
         else:
-            return codewords
+            tiling = _tile_leftover(
+                leftover, consts.n_transmissions - len(codewords),
+                consts.arity, ring,
+            )
+            if tiling is not None:
+                tiled, tiler = tiling
+                log.debug(
+                    "orbit fallback for K=%d, i=%d: %s plan%s",
+                    ring.n_users, offsets.start, name,
+                    f", tiled by {tiler}" if tiler else "",
+                )
+                return codewords + tiled
     return None
-
-
-def _orbit_schedule(
-    params: SystemParams, ring: _Ring, consts: SchemeConstants
-) -> list[tuple[int, ...]] | None:
-    """Cyclic construction for instances the sweep search cannot finish.
-
-    The owed region is a union of K-i full diagonals.  Three tries, the
-    first that finds a schedule wins:
-
-    1. a pure shift-orbit cover (:func:`_coset_cover`), impossible when no
-       multiplicity profile matches the transmission count, as for prime K;
-    2. when at least ``arity`` diagonals are owed: the (K-i) % arity
-       loosest-spaced ones, which pack into the fewest codewords, tiled by
-       :func:`_tile_leftover` into the codeword count that lands the total
-       on the closed form, and the rest striped in offset order into
-       (K-i) // arity groups, each swept by a transversal orbit
-       (:func:`_block_orbit` with one cell per diagonal);
-    3. the whole owed region tiled by :func:`_tile_leftover`.
-    """
-    K, i = params.n_users, params.cache_units
-    arity, total, stride = consts.arity, consts.n_transmissions, consts.stride
-    codewords = _coset_cover(params, ring, consts)
-    if codewords is not None:
-        return codewords
-
-    offsets = list(range(i, K))
-    n_groups = len(offsets) // arity
-    if n_groups:
-        by_spacing = sorted(
-            offsets, key=lambda off: (_spacing(off, K, stride), off)
-        )
-        n_loose = len(offsets) % arity
-        loose = sorted(by_spacing[:n_loose])
-        grouped = sorted(by_spacing[n_loose:])
-        tiled = _tile_leftover(
-            loose, total - n_groups * K, arity, ring, stride
-        )
-        if tiled is not None:
-            orbits = [
-                _block_orbit(grouped[g::n_groups], 1, ring)
-                for g in range(n_groups)
-            ]
-            if all(orbit is not None for orbit in orbits):
-                return [cw for orbit in orbits for cw in orbit] + tiled
-    return _tile_leftover(offsets, total, arity, ring, stride)
 
 
 def _solve_schedule(
@@ -1013,7 +968,7 @@ def _solve_schedule(
     replacement decisions were spent without completing a schedule.
     """
     K = params.n_users
-    arity, budget, stride = consts.arity, consts.n_transmissions, consts.stride
+    arity, budget = consts.arity, consts.n_transmissions
     ring = _Ring(layout)
     compat, adv, diag = ring.compat, ring.adv, ring.diag
     owed = 0
@@ -1119,7 +1074,7 @@ def _solve_schedule(
             for cell in partial:
                 left_on[diag[cell]] -= 1
             if left > cap * steps or (
-                left and not _diagonals_feasible(left_on, steps, K, stride)
+                left and not _diagonals_feasible(left_on, steps, ring.team)
             ):
                 if backtrack():
                     continue
@@ -1244,7 +1199,7 @@ def generate_schedule(
     )
     if codewords is None:
         ring = _Ring(layout)
-        orbit = _orbit_schedule(params, ring, consts)
+        orbit = _orbit_schedule(ring, consts)
         if orbit is not None:
             codewords = [ring.codeword(cw) for cw in orbit]
     if codewords is None:

@@ -6,6 +6,7 @@ import dataclasses
 import logging
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,7 +32,8 @@ from cachecode.delivery import (
     _rule_cell,
     _run_ahead,
     _solve_schedule,
-    _spacing,
+    _spaced_run_cover,
+    _tile_leftover,
     closed_form_pairs,
     generate_schedule,
     initial_codeword_terms,
@@ -640,7 +642,7 @@ def reference_solve_schedule(
             for cell in partial:
                 left_on[diag[cell]] -= 1
             if left > cap * steps or (
-                left and not _diagonals_feasible(left_on, steps, K, stride)
+                left and not _diagonals_feasible(left_on, steps, ring.team)
             ):
                 if backtrack():
                     continue
@@ -781,60 +783,38 @@ class TestSpacing:
     @pytest.mark.parametrize("K", range(2, 17))
     def test_no_closer_pair_on_a_diagonal_is_compatible(self, K):
         for i in range(1, K):
-            params = instance(K, i)
-            stride = scheme_constants(params).stride
-            ring = _Ring(build_cache_layout(params))
+            ring = _Ring(build_cache_layout(instance(K, i)))
             for off in range(i, K):
-                spacing = _spacing(off, K, stride)
+                spacing = ring.spacing[off]
                 fits = ring.compat[ring.on_diagonal(0, off)]
                 for user in range(1, K):
                     if min(user, K - user) < spacing:
                         assert not fits >> ring.on_diagonal(user, off) & 1
 
 
-def orbit_construction(K, i, monkeypatch):
+def orbit_construction(K, i, caplog):
     """Which orbit construction finished ``generate_schedule`` for (K, i).
 
-    Wraps the constructions, logs the first argument of each call that
-    found something, and reads the winner off the log: the coset cover;
-    else the whole-region tiling that follows failed transversal orbits;
-    else the last diagonal tiling, of the diagonals the orbits leave loose
-    or of the whole region when there are no groups to orbit, by spaced
-    run or min-conflicts, whichever ran last; else the transversal orbits
-    alone.
+    Reads the fallback's debug line, which names the plan that finished
+    and the tiler of its leftover diagonals, if it had any: the coset
+    plan; the whole-region plan when there were transversal groups, which
+    failed; else the tiler, of the diagonals the orbits leave loose or of
+    the whole region when there are no groups to orbit; else the
+    transversal orbits alone.
     """
     n_groups = (K - i) // scheme_constants(instance(K, i)).arity
-    found = []
-
-    def spy(name):
-        real = getattr(delivery, name)
-
-        def wrapper(*args):
-            built = real(*args)
-            if built is not None:
-                found.append((name, args[0]))
-            return built
-
-        monkeypatch.setattr(delivery, name, wrapper)
-
-    for name in (
-        "_coset_cover",
-        "_spaced_run_cover",
-        "_tile_minconf",
-        "_tile_leftover",
-    ):
-        spy(name)
-    generate_schedule(instance(K, i))
-    names = [name for name, _ in found]
-    if "_coset_cover" in names:
+    with caplog.at_level(logging.DEBUG, logger="cachecode.delivery"):
+        generate_schedule(instance(K, i))
+    [line] = [m for m in caplog.messages if m.startswith("orbit fallback ")]
+    plan, tiler = re.fullmatch(
+        rf"orbit fallback for K={K}, i={i}: (\S+) plan(?:, tiled by (.+))?",
+        line,
+    ).groups()
+    if plan == "coset":
         return "coset"
-    tiled = [offsets for name, offsets in found if name == "_tile_leftover"]
-    if n_groups and len(tiled[-1]) == K - i:
+    if plan == "whole-region" and n_groups:
         return "whole-region tiling"
-    if tiled[-1]:
-        tilers = [n for n in names if n in ("_spaced_run_cover", "_tile_minconf")]
-        return "spaced run" if tilers[-1] == "_spaced_run_cover" else "min-conflicts"
-    return "transversal orbits"
+    return tiler or "transversal orbits"
 
 
 class TestOrbitConstructions:
@@ -850,8 +830,61 @@ class TestOrbitConstructions:
             (22, 16, "whole-region tiling"),
         ],
     )
-    def test_construction_is_reached(self, K, i, construction, monkeypatch):
-        assert orbit_construction(K, i, monkeypatch) == construction
+    def test_construction_is_reached(self, K, i, construction, caplog):
+        assert orbit_construction(K, i, caplog) == construction
+
+
+def refuse(name):
+    def call(*args):
+        raise AssertionError(f"{name} was called")
+
+    return call
+
+
+class TestTilingGuards:
+    """Guards of the tilers that no instance in the test suite reaches."""
+
+    def ring(self, K, i):
+        return _Ring(build_cache_layout(instance(K, i)))
+
+    @pytest.mark.parametrize(
+        "offsets,n_cliques",
+        [
+            # 39 cells, at most 6 per codeword: 7 codewords at least.
+            ([10, 11, 12], 6),
+            # At most 4 cells of diagonal 10 per codeword: 4 at least.
+            ([10], 3),
+            # No diagonals fill no codeword.
+            ([], 1),
+        ],
+    )
+    def test_tiling_below_its_lower_bound_runs_no_tiler(
+        self, offsets, n_cliques, monkeypatch
+    ):
+        ring = self.ring(13, 10)
+        assert ring.team[10] == 4
+        monkeypatch.setattr(
+            delivery, "_spaced_run_cover", refuse("_spaced_run_cover")
+        )
+        monkeypatch.setattr(delivery, "_tile_minconf", refuse("_tile_minconf"))
+        assert _tile_leftover(offsets, n_cliques, 6, ring) is None
+
+    def test_tiling_at_its_lower_bound_runs_the_tilers(self):
+        ring = self.ring(13, 10)
+        tiled, tiler = _tile_leftover([10, 11, 12], 7, 6, ring)
+        assert tiler == "min-conflicts"
+        assert len(tiled) == 7
+        assert sorted(c for cw in tiled for c in cw) == sorted(
+            ring.on_diagonal(u, off) for off in (10, 11, 12) for u in range(13)
+        )
+        assert _tile_leftover([], 0, 6, ring) == ([], "")
+
+    def test_spaced_run_needs_a_cell_per_diagonal(self, monkeypatch):
+        # K=25, i=18 owes seven diagonals; a codeword holds at most six
+        # cells, so no base can sample all of them.
+        ring = self.ring(25, 18)
+        monkeypatch.setattr(delivery, "_orbit_base", refuse("_orbit_base"))
+        assert _spaced_run_cover(ring.owed_diagonals, 30, 6, ring) is None
 
 
 def test_generation_imports_neither_numpy_nor_scipy(tmp_path):

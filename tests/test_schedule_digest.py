@@ -6,6 +6,8 @@ so any change to schedule generation that alters a single term fails here,
 and every one of the schedules must pass the decodability verifier.  The
 sweep search's debug lines, which say how many decisions each instance
 spent, are captured during the same run and pinned by their own digest.
+In the pair regime 1 < i <= K/2 the sweep's schedules are those of the
+closed form, codeword for codeword.
 Nine fallback instances, eight of them past K = 24, are pinned the same
 way as the grid.
 """
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from cachecode.delivery import closed_form_pairs
 from cachecode.verify import verify_instantaneous_decodability
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "schedule_digest.py"
@@ -83,12 +86,37 @@ def test_grid24_is_decodable_on_sight(grid24):
     assert failed == []
 
 
+def test_sweep_reproduces_the_pair_closed_form(grid24):
+    pairs = [
+        s
+        for s in grid24
+        if 1 < s.params.cache_units <= s.params.n_users // 2
+    ]
+    assert len(pairs) == 121
+    differ = [
+        (s.params.n_users, s.params.cache_units)
+        for s in pairs
+        if closed_form_pairs(s.params).codewords != s.codewords
+    ]
+    assert differ == []
+
+
 @pytest.mark.parametrize(
     "instances,digest", FALLBACK_DIGESTS, ids=[i for i, _ in FALLBACK_DIGESTS]
 )
 def test_fallback_instances_past_k24_are_pinned(instances, digest, capsys):
     assert digest_script.main(["--instances", instances]) == 0
     assert capsys.readouterr().out.strip() == digest
+
+
+def test_k40_leaves_out_only_the_unbounded_instances():
+    K40 = digest_script.K40
+    assert len(K40) == 764 == len(set(K40))
+    assert digest_script.GRID24 == K40[: len(digest_script.GRID24)]
+    assert len(digest_script.K40_UNBOUNDED) == 16
+    assert set(K40) | digest_script.K40_UNBOUNDED == {
+        (K, i) for K in range(2, 41) for i in range(1, K)
+    }
 
 
 def test_canonical_line_format():
