@@ -15,8 +15,10 @@ then the codewords joined by ``;``, each codeword being its terms written
 with N = K files.  With ``--decisions`` the digest is instead over the
 sweep search's ``"sweep for K=…, i=… done/gave up after N decisions"``
 debug lines, each ending in a newline, in instance order; it pins how many
-decisions the search spends, which a faster search must keep.  Run it with
-the package importable: installed, or with ``PYTHONPATH=src`` from the
+decisions the search spends, which a faster search must keep.  Only the
+instances of arity 3 or more (2i > K) run the sweep and log such a line;
+the arity-2 ones come from the pairwise closed form and add none.  Run it
+with the package importable: installed, or with ``PYTHONPATH=src`` from the
 repository root.
 """
 
@@ -141,7 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--decisions",
         action="store_true",
-        help="digest the sweep's decision-count log lines, not the schedules",
+        help="digest the sweep's decision-count log lines, not the "
+        "schedules; only instances with 2i > K (arity 3 or more) log one",
     )
     args = parser.parse_args(argv)
     instances = args.instances or (K40 if args.k40 else GRID24)

@@ -24,7 +24,6 @@ from pathlib import Path
 from .delivery import generate_schedule, mn_rate, mn_subpacketization, rate
 from .errors import (
     InstanceError,
-    NoSeedTerm,
     RegimeError,
     ScheduleError,
     UnsupportedMemoryPoint,
@@ -364,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InstanceError, RegimeError, UnsupportedMemoryPoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoSeedTerm, ScheduleError) as exc:
+    except ScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -6,7 +6,11 @@ with XOR codewords combining up to ``arity`` sub-packets each, where every
 user appearing in a codeword caches all companion sub-packets and can cancel
 them instantly.
 
-The generator seeds one structured codeword and then repeatedly advances
+Each instance has one generator, fixed by its arity.  Arity 2 (1 <= i <=
+K/2) is the pairwise closed form :func:`closed_form_pairs`; arity 3 and up
+runs the sweep search below and, when it gives up, the orbit fallback.
+
+The sweep seeds one structured codeword and then repeatedly advances
 every term's user and packet index by one (mod K).  Advanced terms that were
 already served are patched: first through a small replacement rule set, then
 -- when the rules dead-end -- by re-seating the term on any still-owed
@@ -34,9 +38,6 @@ seeded min-conflicts local search.  Every orbit shifts a base codeword
 found by one search (:func:`_orbit_base`), and every construction bounds
 how densely a codeword can sample a diagonal by the spacing the ring holds
 for each diagonal (:class:`_Ring`).
-
-A separate closed-form generator covers the small-cache regime
-(1 < i <= K/2), where every codeword pairs at most two sub-packets.
 
 Internally the search and the fallbacks work on integer cells of the K x K
 (user, packet) ring and on bitmasks of them (:class:`_Ring`): a cell's
@@ -642,7 +643,7 @@ def _tile_minconf(
             cur = assign[cell]
             target = -1
             partner = -1
-            if rng.random() < 0.01:
+            if n_cliques > 1 and rng.random() < 0.01:
                 target = rng.randrange(n_cliques - 1)
                 if target >= cur:
                     target += 1
@@ -1169,13 +1170,15 @@ def generate_schedule(
 ) -> TransmissionSchedule:
     """Generate the complete XOR schedule for an instance.
 
-    Walks the seed codeword around the ring: each transmission keeps the
-    advanced terms that are still owed, patches served ones (rule set
-    first, compatible re-seating when the rules dead-end), and switches to
+    Arity 2 (1 <= i <= K/2) is :func:`closed_form_pairs`.  Above it, walks
+    the seed codeword around the ring: each transmission keeps the advanced
+    terms that are still owed, patches served ones (rule set first,
+    compatible re-seating when the rules dead-end), and switches to
     :func:`tail_subroutine` when a transmission opens with a served term
     while exactly K sub-packets remain.  Backtracking over the patch
-    placements makes the transmission count land on the closed form, and
-    the shape is re-checked before the schedule is returned.
+    placements makes the transmission count land on the closed form, the
+    orbit fallback takes over when the sweep gives up, and the shape is
+    re-checked before the schedule is returned.
 
     The demand vector only matters for moving actual bytes; the schedule
     itself is keyed on user positions and is identical for all demands.
@@ -1188,6 +1191,8 @@ def generate_schedule(
         raise InstanceError(
             "i=0 leaves nothing cached; send the library uncoded instead"
         )
+    if 2 * i <= K:
+        return closed_form_pairs(params, demands)
     consts = scheme_constants(params)
     layout = build_cache_layout(params)
     codewords = _solve_schedule(
@@ -1215,43 +1220,37 @@ def generate_schedule(
 def closed_form_pairs(
     params: SystemParams, demands: Sequence[int] | None = None
 ) -> TransmissionSchedule:
-    """Direct pairwise schedule for the small-cache regime 1 < i <= K/2.
+    """Direct pairwise schedule for the arity-2 regime 1 <= i <= K/2.
 
-    Emits the pairs (1+a, i+a+k) + (1+k+a, 1+a) for k = 1..floor((K-i)/2)
-    and a = 0..K-1 (all indices wrapped).  When K-i is odd, one extra family
-    (1+a, i+ceil((K-i)/2)+a) + (floor(K/2)+1+a, ceil(i/2)+a) finishes the
-    job; its index range overshoots by construction, so terms that were
-    already covered are skipped, which leaves exactly ceil(K(K-i)/2)
-    transmissions (the last one a singleton when K is odd).
+    Pairs each owed diagonal d = p - u with its sigma-mirror i + K - 1 - d.
+    Family k = 1..floor((K-i)/2) pairs diagonal i+k-1 with K-k through
+    (1+a, i+a+k) + (1+k+a, 1+a), a = 0..K-1 (indices wrapped).  When K-i
+    is odd, the middle diagonal (K+i-1)/2 is its own mirror: user a's cell
+    pairs with user a+floor(K/2)'s for a = 1..floor(K/2), and for odd K
+    user K's cell goes alone, last.  That makes ceil(K(K-i)/2) codewords.
     """
     _require_schedule_inputs(params, demands)
     K, i = params.n_users, params.cache_units
-    if not (1 < i and 2 * i <= K):
+    if not 1 <= i <= K // 2:
         raise RegimeError(
-            f"pairwise closed form covers 1 < i <= K/2; got i={i}, K={K}"
+            f"pairwise closed form covers 1 <= i <= K/2; got i={i}, K={K}"
         )
-    covered: set[SubpacketId] = set()
     codewords: list[Codeword] = []
     for k in range(1, (K - i) // 2 + 1):
         for a in range(K):
-            pair = (
+            codewords.append((
                 SubpacketId(wrap(1 + a, K), wrap(i + a + k, K)),
                 SubpacketId(wrap(1 + k + a, K), wrap(1 + a, K)),
-            )
-            codewords.append(pair)
-            covered.update(pair)
+            ))
     if (K - i) % 2 == 1:
-        half = (K - i + 1) // 2
-        for a in range((K + 1) // 2 + 1):
-            two = (
-                SubpacketId(wrap(1 + a, K), wrap(i + half + a, K)),
-                SubpacketId(wrap(K // 2 + 1 + a, K), wrap((i + 1) // 2 + a, K)),
-            )
-            fresh = tuple(s for s in two if s not in covered)
-            if not fresh:
-                continue
-            codewords.append(fresh)
-            covered.update(fresh)
+        mid, half = (K + i - 1) // 2, K // 2
+        for a in range(1, half + 1):
+            codewords.append((
+                SubpacketId(a, wrap(a + mid, K)),
+                SubpacketId(a + half, wrap(a + half + mid, K)),
+            ))
+        if K % 2 == 1:
+            codewords.append((SubpacketId(K, mid),))
     schedule = TransmissionSchedule(tuple(codewords), params)
     _assert_schedule_shape(schedule)
     return schedule

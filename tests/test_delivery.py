@@ -34,6 +34,7 @@ from cachecode.delivery import (
     _solve_schedule,
     _spaced_run_cover,
     _tile_leftover,
+    _tile_minconf,
     closed_form_pairs,
     generate_schedule,
     initial_codeword_terms,
@@ -378,6 +379,18 @@ class TestGenerateSchedule:
         assert set(served) == set(build_demand_list(params))
 
 
+def sweep(params: SystemParams) -> list[Codeword] | None:
+    """The sweep search alone, with the budget ``generate_schedule`` sets."""
+    return _solve_schedule(
+        params,
+        build_cache_layout(params),
+        scheme_constants(params),
+        initial_codeword_terms(params),
+        build_demand_list(params),
+        node_budget=_SWEEP_NODE_BUDGET,
+    )
+
+
 class TestClosedFormPairs:
     def test_even_gap_count(self):
         schedule = closed_form_pairs(instance(6, 2))
@@ -396,13 +409,16 @@ class TestClosedFormPairs:
 
     def test_regime_bounds(self):
         with pytest.raises(RegimeError):
-            closed_form_pairs(instance(6, 1))
+            closed_form_pairs(instance(6, 0))
         with pytest.raises(RegimeError):
             closed_form_pairs(instance(6, 4))
+        schedule = closed_form_pairs(instance(6, 1))
+        assert schedule.n_transmissions == math.ceil(6 * 5 / 2)
+        assert all(len(cw) == 2 for cw in schedule.codewords)
 
     @given(
         st.integers(4, 16).flatmap(
-            lambda K: st.tuples(st.just(K), st.integers(2, K // 2))
+            lambda K: st.tuples(st.just(K), st.integers(1, K // 2))
         )
     )
     @settings(max_examples=40, deadline=None)
@@ -411,7 +427,7 @@ class TestClosedFormPairs:
         params = instance(K, i)
         pairs = closed_form_pairs(params)
         assert pairs.n_transmissions == math.ceil(K * (K - i) / 2)
-        assert pairs.n_transmissions == generate_schedule(params).n_transmissions
+        assert list(pairs.codewords) == sweep(params)
         served = [term for cw in pairs.codewords for term in cw]
         assert len(served) == len(set(served)) == K * (K - i)
         assert set(served) == set(build_demand_list(params))
@@ -445,15 +461,7 @@ class TestIntegerCells:
 
 class TestSweepNodeBudget:
     def solve(self, K, i):
-        params = instance(K, i)
-        return _solve_schedule(
-            params,
-            build_cache_layout(params),
-            scheme_constants(params),
-            initial_codeword_terms(params),
-            build_demand_list(params),
-            node_budget=_SWEEP_NODE_BUDGET,
-        )
+        return sweep(instance(K, i))
 
     def test_fallback_class_instance_exhausts_the_budget(self):
         assert self.solve(13, 10) is None
@@ -878,6 +886,16 @@ class TestTilingGuards:
             ring.on_diagonal(u, off) for off in (10, 11, 12) for u in range(13)
         )
         assert _tile_leftover([], 0, 6, ring) == ([], "")
+
+    def test_minconf_for_one_codeword(self):
+        # With one slot there is nothing to move or swap into: conflicting
+        # cells stall every pass, and a compatible set is its own codeword.
+        ring = self.ring(13, 10)
+        diagonal = [ring.on_diagonal(u, 10) for u in range(13)]
+        assert _tile_minconf(diagonal, 1, 13, ring) is None
+        ring = self.ring(4, 3)
+        codeword = [ring.on_diagonal(u, 3) for u in range(4)]
+        assert _tile_minconf(codeword, 1, 4, ring) == [tuple(codeword)]
 
     def test_spaced_run_needs_a_cell_per_diagonal(self, monkeypatch):
         # K=25, i=18 owes seven diagonals; a codeword holds at most six

@@ -5,9 +5,10 @@ digest (see ``scripts/schedule_digest.py``) must equal the pinned value,
 so any change to schedule generation that alters a single term fails here,
 and every one of the schedules must pass the decodability verifier.  The
 sweep search's debug lines, which say how many decisions each instance
-spent, are captured during the same run and pinned by their own digest.
-In the pair regime 1 < i <= K/2 the sweep's schedules are those of the
-closed form, codeword for codeword.
+spent, are captured during the same run and pinned by their own digest;
+only the instances with 2i > K run the sweep and log one.  The arity-2
+instances 1 <= i <= K/2 come from the pairwise closed form, and the sweep
+run on them alone reproduces it codeword for codeword.
 Nine fallback instances, eight of them past K = 24, are pinned the same
 way as the grid.
 """
@@ -17,13 +18,18 @@ from pathlib import Path
 
 import pytest
 
-from cachecode.delivery import closed_form_pairs
+from cachecode import build_cache_layout, build_demand_list
+from cachecode.delivery import (
+    _solve_schedule,
+    initial_codeword_terms,
+    scheme_constants,
+)
 from cachecode.verify import verify_instantaneous_decodability
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "schedule_digest.py"
 GRID24_DIGEST = "dc45ef230d79d3c2d9e6ea3a035b557cf3377be3653749f267f0c3d6685fa32a"
 GRID24_DECISIONS_DIGEST = (
-    "7c74a7a4debce3fe588afa1e9c42305ecc7a664b3b75a5e0e11151d26c50b566"
+    "209789e0a4eb088b8d140cc5bed9112ef290ac23e40b86f7ae3e8cc3bcb7b9d7"
 )
 FALLBACK_DIGESTS = [
     # K=22, i=16; K=31, i=26; K=32, i=27: the sweep gives up on each, the
@@ -73,7 +79,7 @@ def test_grid24_digest_is_pinned(grid24):
 
 def test_grid24_decisions_are_pinned(grid24_run):
     lines = grid24_run[1]
-    assert len(lines) == len(digest_script.GRID24)
+    assert len(lines) == 132
     assert digest_script.lines_digest(lines) == GRID24_DECISIONS_DIGEST
 
 
@@ -87,17 +93,20 @@ def test_grid24_is_decodable_on_sight(grid24):
 
 
 def test_sweep_reproduces_the_pair_closed_form(grid24):
-    pairs = [
-        s
-        for s in grid24
-        if 1 < s.params.cache_units <= s.params.n_users // 2
-    ]
-    assert len(pairs) == 121
-    differ = [
-        (s.params.n_users, s.params.cache_units)
-        for s in pairs
-        if closed_form_pairs(s.params).codewords != s.codewords
-    ]
+    pairs = [s for s in grid24 if 2 * s.params.cache_units <= s.params.n_users]
+    assert len(pairs) == 144
+    differ = []
+    for s in pairs:
+        params = s.params
+        swept = _solve_schedule(
+            params,
+            build_cache_layout(params),
+            scheme_constants(params),
+            initial_codeword_terms(params),
+            build_demand_list(params),
+        )
+        if swept != list(s.codewords):
+            differ.append((params.n_users, params.cache_units))
     assert differ == []
 
 
@@ -125,7 +134,9 @@ def test_canonical_line_format():
 
 
 def test_decisions_digest_covers_the_sweep_lines(capsys):
-    assert digest_script.main(["--decisions", "--instances", "4:3,13:10"]) == 0
+    # 6:2 has arity 2: the closed form makes it, and no sweep line is logged.
+    argv = ["--decisions", "--instances", "4:3,6:2,13:10"]
+    assert digest_script.main(argv) == 0
     assert capsys.readouterr().out.strip() == digest_script.lines_digest(
         [
             "sweep for K=4, i=3 done after 0 decisions\n",
