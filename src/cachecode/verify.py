@@ -9,13 +9,13 @@ Three independent ways to gain confidence in a schedule:
   cache plus received transmissions only, and compares files bit for bit
   (it holds each sub-packet as the big-endian int of its bytes, so an int
   XOR is the bytewise XOR);
-* an exact minimizer over schedules restricted to two-term codewords, built
-  on maximum matching rather than on the generators it cross-checks.
+* an exact minimizer over schedules restricted to two-term codewords: a
+  depth-first search over partitions into pairs and singletons, built on
+  the cache layout rather than on the generators it cross-checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import random
 from collections import defaultdict
@@ -176,6 +176,10 @@ class FileStore:
     def __post_init__(self) -> None:
         if not self.files:
             raise InstanceError("file store needs at least one file")
+        if self.n_subpackets < 1:
+            raise InstanceError(
+                f"files need at least one sub-packet, got {self.n_subpackets}"
+            )
         size = len(self.files[0])
         if any(len(f) != size for f in self.files):
             raise InstanceError("all files must have equal length")
@@ -366,30 +370,66 @@ def min_pair_transmissions(
     """Exact minimum schedule length using codewords of at most two terms.
 
     Two demanded sub-packets may share a transmission iff each owner caches
-    the other's packet; singletons are always allowed.  The minimum count is
-    therefore |demands| minus a maximum matching in the compatibility graph,
-    computed here with a blossom matching -- deliberately independent of the
-    schedule generators it serves as an oracle for.  Kept to K <= 8.
-    """
-    # Only this oracle needs networkx; a top-level import would make every
-    # CLI command pay for it.
-    import networkx as nx
+    the other's packet; singletons are always allowed.  The minimum is found
+    by a depth-first exact partition of the demands into pairs and
+    singletons, built from the cache layout alone -- deliberately
+    independent of the schedule generators it serves as an oracle for.
 
+    Each cell's partners are an int bitmask.  The search takes the uncovered
+    cell with the fewest uncovered partners and tries it with each of them,
+    fewest remaining partners first, then alone.  A branch is cut once
+    ``used + ceil(left / 2)`` cannot beat the best count so far, and the
+    search stops when the count reaches ``ceil(n / 2)``, which no schedule
+    of pairs can undercut.  Kept to K <= 8 and 1 <= i <= K/2.
+    """
     K, i = params.n_users, params.cache_units
     if K > 8:
         raise InstanceError(f"exact pair search is limited to K <= 8, got {K}")
-    if not (1 < i and 2 * i <= K):
+    if not (1 <= i and 2 * i <= K):
         raise RegimeError(
-            f"pair schedules cover 1 < i <= K/2; got i={i}, K={K}"
+            f"pair schedules cover 1 <= i <= K/2; got i={i}, K={K}"
         )
     if demands is not None:
         validate_demand(params, demands)
     layout = build_cache_layout(params)
-    terms = build_demand_list(params)
-    graph = nx.Graph()
-    graph.add_nodes_from(terms)
-    for x, y in itertools.combinations(terms, 2):
-        if layout.knows(x.user, y.packet) and layout.knows(y.user, x.packet):
-            graph.add_edge(x, y)
-    matching = nx.max_weight_matching(graph, maxcardinality=True)
-    return len(terms) - len(matching)
+    cells = build_demand_list(params)
+    n = len(cells)
+    partners = [
+        sum(
+            1 << b
+            for b, y in enumerate(cells)
+            if b != a
+            and layout.knows(x.user, y.packet)
+            and layout.knows(y.user, x.packet)
+        )
+        for a, x in enumerate(cells)
+    ]
+    floor = (n + 1) // 2
+    best = n
+
+    def members(mask: int) -> list[int]:
+        return [a for a in range(n) if mask >> a & 1]
+
+    def descend(uncovered: int, used: int) -> None:
+        nonlocal best
+        if used + (uncovered.bit_count() + 1) // 2 >= best:
+            return
+        if not uncovered:
+            best = used
+            return
+        cell = min(
+            members(uncovered),
+            key=lambda a: (partners[a] & uncovered).bit_count(),
+        )
+        rest = uncovered & ~(1 << cell)
+        for b in sorted(
+            members(partners[cell] & rest),
+            key=lambda b: (partners[b] & rest).bit_count(),
+        ):
+            descend(rest & ~(1 << b), used + 1)
+            if best == floor:
+                return
+        descend(rest, used + 1)
+
+    descend((1 << n) - 1, 0)
+    return best

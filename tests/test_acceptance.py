@@ -119,7 +119,7 @@ def test_criterion_4_decodability_and_round_trip():
 def test_criterion_5_pair_regime_equivalence():
     with criterion(5, "pair-regime equivalence for K in [4, 16]", budget=120.0):
         for K in range(4, 17):
-            for i in range(2, K // 2 + 1):
+            for i in range(1, K // 2 + 1):
                 params = instance(K, i)
                 expected = math.ceil(K * (K - i) / 2)
                 pairs = closed_form_pairs(params)

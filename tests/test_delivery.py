@@ -918,10 +918,11 @@ def test_generation_imports_neither_numpy_nor_scipy(tmp_path):
         "main(['simulate', '--K', '6', '--i', '4', '--out', 'x'])\n"
         "print(sorted({'networkx', 'numpy', 'scipy'} & set(sys.modules)))\n"
         "min_pair_transmissions(SystemParams(8, 8, 3))\n"
-        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+        "print(sorted({'networkx', 'numpy', 'scipy'} & set(sys.modules)))\n"
     )
+    # -S skips site-packages, so any third-party import would fail here.
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        cwd=tmp_path,
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
     )
     assert done.stdout == "[]\n[]\n"

@@ -9,6 +9,7 @@ from typing import Sequence
 
 import pytest
 
+from cachecode import verify
 from cachecode.delivery import TransmissionSchedule, generate_schedule
 from cachecode.errors import InstanceError, RegimeError, SimulationMismatch
 from cachecode.model import (
@@ -175,6 +176,11 @@ class TestFileStore:
             FileStore(files=(b"abcd", b"efgh"), n_subpackets=3)
         with pytest.raises(InstanceError):
             FileStore(files=(b"", b""), n_subpackets=3)
+
+    @pytest.mark.parametrize("n_subpackets", [0, -2])
+    def test_rejects_fewer_than_one_subpacket(self, n_subpackets):
+        with pytest.raises(InstanceError, match="at least one sub-packet"):
+            FileStore(files=(b"abcd",), n_subpackets=n_subpackets)
 
     def test_random_store_is_seed_deterministic(self):
         params = instance(6, 4, N=4)
@@ -560,10 +566,13 @@ class TestSimulatorMatchesReference:
         assert strict[0].startswith("mismatch: user 1: sub-packet 5 of file 1")
 
 
-def exhaustive_min_pair_count(params: SystemParams) -> int:
+def exhaustive_min_pair_count(
+    params: SystemParams, layout: CacheLayout | None = None
+) -> int:
     """Independent brute force: smallest partition of the demands into
     mutually cached pairs and singletons, by exhaustive branch and bound."""
-    layout = build_cache_layout(params)
+    if layout is None:
+        layout = build_cache_layout(params)
     cells = tuple(build_demand_list(params))
     compatible = {
         frozenset((x, y))
@@ -590,14 +599,36 @@ def exhaustive_min_pair_count(params: SystemParams) -> int:
 
 
 class TestPairOracle:
-    @pytest.mark.parametrize("K,i,expected", [(4, 2, 4), (5, 2, 8), (6, 3, 9)])
+    # Every instance in the oracle's domain, K <= 8 and 1 <= i <= K/2.
+    @pytest.mark.parametrize(
+        "K,i,expected",
+        [
+            (2, 1, 1), (3, 1, 3), (4, 1, 6), (4, 2, 4), (5, 1, 10), (5, 2, 8),
+            (6, 1, 15), (6, 2, 12), (6, 3, 9), (7, 1, 21), (7, 2, 18),
+            (7, 3, 14), (8, 1, 28), (8, 2, 24), (8, 3, 20), (8, 4, 16),
+        ],
+    )
     def test_known_minima(self, K, i, expected):
         assert min_pair_transmissions(instance(K, i)) == expected
 
-    @pytest.mark.parametrize("K,i", [(4, 2), (5, 2)])
+    @pytest.mark.parametrize(
+        "K,i",
+        [(2, 1), (3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2),
+         (6, 3), (7, 1), (7, 3), (8, 1)],
+    )
     def test_matching_agrees_with_exhaustive_search(self, K, i):
         params = instance(K, i)
         assert min_pair_transmissions(params) == exhaustive_min_pair_count(params)
+
+    @pytest.mark.parametrize("K,i,j", [(6, 2, 1), (8, 4, 2)])
+    def test_search_proves_a_count_above_half(self, monkeypatch, K, i, j):
+        # Against the smaller cache of i = j the demands of i cannot all be
+        # paired, so the search has to rule out every shorter partition.
+        params, layout = instance(K, i), build_cache_layout(instance(K, j))
+        monkeypatch.setattr(verify, "build_cache_layout", lambda _: layout)
+        expected = exhaustive_min_pair_count(params, layout)
+        assert expected > (K * (K - i) + 1) // 2
+        assert min_pair_transmissions(params) == expected
 
     def test_size_limit(self):
         with pytest.raises(InstanceError):
@@ -605,6 +636,7 @@ class TestPairOracle:
 
     def test_regime_bounds(self):
         with pytest.raises(RegimeError):
-            min_pair_transmissions(instance(6, 1))
+            min_pair_transmissions(instance(6, 0))
         with pytest.raises(RegimeError):
             min_pair_transmissions(instance(6, 4))
+        assert min_pair_transmissions(instance(6, 1)) == 15
