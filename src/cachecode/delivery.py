@@ -35,15 +35,18 @@ all diagonals; striped transversal groups plus the loose diagonals; and
 the whole owed region, tiled.  A tiling packs diagonals into exactly the
 right number of codewords, by shifted runs when it can and otherwise by
 seeded min-conflicts local search.  Every orbit shifts a base codeword
-found by one search (:func:`_orbit_base`), and every construction bounds
-how densely a codeword can sample a diagonal by the spacing the ring holds
-for each diagonal (:class:`_Ring`).
+found by one search (:func:`_orbit_base`); a shifted base is again a base,
+so that search starts every base at user 0.  Every construction bounds how
+densely a codeword can sample a diagonal by the spacing the ring holds for
+each diagonal (:class:`_Ring`).
 
 Internally the search and the fallbacks work on integer cells of the K x K
 (user, packet) ring and on bitmasks of them (:class:`_Ring`): a cell's
 diagonal p - u mod K is fixed by the sweep, and one precomputed mask per
-cell answers every mutual-caching test.  Sub-packet ids are built only for
-the emitted codewords.
+cell answers every mutual-caching test.  Each sweep decision records the
+search state it was taken in, owed cells included, and backtracking
+restores that state from the record alone.  Sub-packet ids are built only
+for the emitted codewords.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import InstanceError, NoSeedTerm, RegimeError, ScheduleError
 from .model import (
@@ -88,6 +91,13 @@ Codeword = tuple[SubpacketId, ...]
 # Replacement decisions the sweep search may spend before an instance is
 # handed to the cyclic fallback construction.
 _SWEEP_NODE_BUDGET = 20_000
+
+# Restarts of the min-conflicts tiler, and the moves each restart may make.
+_MINCONF_SEEDS = 50
+_MINCONF_MOVES = 12_000
+
+# Extra-cell seatings one spaced-run cover may try for each base.
+_SPACED_RUN_SEATS = 200_000
 
 
 @dataclass(frozen=True)
@@ -297,8 +307,8 @@ class _Ring:
     """
 
     __slots__ = (
-        "n_users", "compat", "adv", "diag", "terms",
-        "spacing", "team", "owed_diagonals",
+        "n_users", "compat", "adv", "diag", "spacing", "team",
+        "owed_diagonals",
     )
 
     def __init__(self, layout: CacheLayout) -> None:
@@ -319,7 +329,6 @@ class _Ring:
         self.compat = [holders[c % K] & known[c // K] for c in cells]
         self.adv = [self.shift(c, 1) for c in cells]
         self.diag = [(c % K - c // K) % K for c in cells]
-        self.terms = [SubpacketId(c // K + 1, c % K + 1) for c in cells]
         self.spacing = [max(d - i + 1, K - d) for d in range(K)]
         self.team = [K // gap for gap in self.spacing]
         self.owed_diagonals = range(i, K)
@@ -337,8 +346,9 @@ class _Ring:
         K = self.n_users
         return (c // K + steps) % K * K + (c + steps) % K
 
-    def codeword(self, cells: Sequence[int]) -> Codeword:
-        return tuple(self.terms[c] for c in cells)
+    def codeword(self, cells: Iterable[int]) -> Codeword:
+        K = self.n_users
+        return tuple(SubpacketId(c // K + 1, c % K + 1) for c in cells)
 
 
 # The mask holding every cell, whatever K: what an empty codeword allows.
@@ -475,7 +485,7 @@ def _checked_tail(
 ) -> list[int] | None:
     """Tail codeword when it is well formed, else None to fall back."""
     try:
-        terms = tail_subroutine([ring.terms[c] for c in _bits(owed)], params)
+        terms = tail_subroutine(ring.codeword(_bits(owed)), params)
     except NoSeedTerm:
         return None
     built: list[int] = []
@@ -493,32 +503,35 @@ def _orbit_base(
     offsets: Sequence[int],
     m: int,
     d: int,
-    first_anchors: Sequence[int],
     anchors: Sequence[int],
     ring: _Ring,
 ) -> list[int] | None:
     """First base codeword with m cells spaced d apart on each diagonal.
 
     On diagonal ``offsets[k]`` the base holds the cells of users a, a+d,
-    ..., a+(m-1)d (mod K), for an anchor a taken from ``first_anchors`` on
-    the first diagonal and from ``anchors`` on the others.  Depth-first
-    over the anchors in the order given, checking every cell against all
-    cells chosen before it, and abandoning a branch as soon as some later
-    diagonal has no cell its anchors could use left: that prunes only
-    branches holding no base, so the first base found is the same.  A
-    diagonal is the set of cells (u, u + offset mod K), and advancing every
-    term of a codeword by one step keeps mutual caching intact, so the
-    shifts of one base sweep its diagonals; the callers pick m, d and the
-    anchors so that those shifts cover each cell once.
+    ..., a+(m-1)d (mod K): a = 0 on the first diagonal, and an anchor a
+    from ``anchors`` on the others.  A diagonal is the set of cells
+    (u, u + offset mod K), and the shift (u, p) -> (u+1, p+1) keeps every
+    cell on its diagonal and keeps mutual caching intact.  So the shifts
+    of one base sweep its diagonals (the callers pick m, d and the anchors
+    so that they cover each cell once), and a shifted base is again a
+    base: as the anchors start every run of m cells d apart, a base exists
+    only if one exists whose first run starts at user 0.
+
+    Depth-first over the anchors in the order given, checking every cell
+    against all cells chosen before it, and abandoning a branch as soon as
+    some later diagonal has no cell its anchors could use left: that
+    prunes only branches holding no base, so the first base found is the
+    same.
     """
     K = ring.n_users
     compat = ring.compat
     chosen: list[int] = []
-    # reach[k]: every cell the anchors of diagonal k may use.
+    # reach[k]: every cell the anchors may use on diagonal offsets[k + 1].
     reach = []
-    for k, off in enumerate(offsets):
+    for off in offsets[1:]:
         mask = 0
-        for a in anchors if k else first_anchors:
+        for a in anchors:
             for l in range(m):
                 mask |= 1 << ring.on_diagonal((a + l * d) % K, off)
         reach.append(mask)
@@ -526,9 +539,9 @@ def _orbit_base(
     def extend(idx: int, allowed: int) -> bool:
         if idx == len(offsets):
             return True
-        if not all(allowed & mask for mask in reach[idx + 1 :]):
+        if not all(allowed & mask for mask in reach[idx:]):
             return False
-        for a in anchors if idx else first_anchors:
+        for a in anchors if idx else (0,):
             cells = []
             after = allowed
             for l in range(m):
@@ -557,7 +570,7 @@ def _block_orbit(
     :func:`_orbit_base` finds, or None when there is none.
     """
     period = range(ring.n_users // m)
-    base = _orbit_base(block, m, len(period), period, period, ring)
+    base = _orbit_base(block, m, len(period), period, ring)
     if base is None:
         return None
     return [tuple(ring.shift(c, s) for c in base) for s in period]
@@ -576,11 +589,6 @@ def _conflicts(order: Sequence[int], ring: _Ring) -> list[int]:
             )
         )
     return conflicts
-
-
-# Restarts of the min-conflicts tiler, and the moves each restart may make.
-_MINCONF_SEEDS = 50
-_MINCONF_MOVES = 12_000
 
 
 def _tile_minconf(
@@ -612,12 +620,10 @@ def _tile_minconf(
         rng.shuffle(deal)
         assign = [0] * n
         slots = [0] * n_cliques
-        sizes = [0] * n_cliques
         for pos, b in enumerate(deal):
             j = pos % n_cliques
             assign[b] = j
             slots[j] |= 1 << b
-            sizes[j] += 1
         # own[b]: conflicts of b with its slot-mates; members[j]: the
         # occupants of slot j in ascending order.
         own = [(adj[b] & slots[assign[b]]).bit_count() for b in range(n)]
@@ -651,13 +657,14 @@ def _tile_minconf(
                 partner = seats[rng.randrange(len(seats))]
             else:
                 cell_adj = adj[cell]
+                can_leave = len(members[cur]) > floor_size
                 best: int | None = None
                 moves: list[tuple[int, int]] = []
                 for j in range(n_cliques):
                     if j == cur:
                         continue
                     gain = (cell_adj & slots[j]).bit_count() - own[cell]
-                    if sizes[j] < arity and sizes[cur] > floor_size:
+                    if can_leave and len(members[j]) < arity:
                         delta = gain
                         if best is None or delta <= best:
                             if best is None or delta < best:
@@ -682,15 +689,11 @@ def _tile_minconf(
                     break
                 target, partner = moves[rng.randrange(len(moves))]
             slots[cur] &= ~(1 << cell)
-            sizes[cur] -= 1
             if partner >= 0:
                 slots[target] &= ~(1 << partner)
-                sizes[target] -= 1
                 slots[cur] |= 1 << partner
-                sizes[cur] += 1
                 assign[partner] = cur
             slots[target] |= 1 << cell
-            sizes[target] += 1
             assign[cell] = target
             members[cur] = _bits(slots[cur])
             members[target] = _bits(slots[target])
@@ -744,11 +747,7 @@ def _spaced_run_cover(
                 if math.gcd(d, K) != 1:
                     continue
                 if (m, d) not in bases:
-                    # Any shift of a spaced-run cover is another one, so
-                    # the first diagonal's run may start at user 1.
-                    bases[m, d] = _orbit_base(
-                        offsets, m, d, [0], range(K), ring
-                    )
+                    bases[m, d] = _orbit_base(offsets, m, d, range(K), ring)
                 base = bases[m, d]
                 if base is None:
                     continue
@@ -763,7 +762,7 @@ def _spaced_run_cover(
                     for k, off in enumerate(offsets)
                     for x in range(rem)
                 ]
-                budget = 200_000
+                budget = _SPACED_RUN_SEATS
 
                 def seat(idx: int) -> bool:
                     nonlocal budget
@@ -975,7 +974,6 @@ def _solve_schedule(
     owed = 0
     for term in demand_cells:
         owed |= 1 << ring.cell(term)
-    n_owed = owed.bit_count()
     owed_on = [0] * K
     for cell in _bits(owed):
         owed_on[diag[cell]] += 1
@@ -987,15 +985,12 @@ def _solve_schedule(
     allowed = _ANY_CELL
     flag = 0
     pos = 0
-    # The owed state before each committed codeword.  Between two commits
-    # only (partial, flag, pos) change, so a decision records the commit
-    # count, and backtracking restores the owed state from here.
-    saved: list[tuple[int, int, list[int]]] = []
     # Open replacement decisions: (key, decisions spent before it, allowed
-    # before it, lead, doomed, untried options newest last).  The key is
-    # (owed, commit count, queue, partial, flag, pos), which fixes all of
-    # the search below the decision.
-    decisions: list[tuple[tuple, int, int, int, bool, list]] = []
+    # and owed_on before it, lead, doomed, untried options newest last).
+    # The key is (owed, commit count, queue, partial, flag, pos), which
+    # fixes all of the search below the decision, so backtracking restores
+    # the search state from the key and the record.
+    decisions: list[tuple[tuple, int, int, list[int], int, bool, list]] = []
     # Decisions spent below each decision searched to exhaustion, by key.
     # Backtracking inside a decision restores only records made inside it,
     # and a key never recurs on its own path (pos grows within a codeword,
@@ -1014,12 +1009,13 @@ def _solve_schedule(
         commit: it costs one decision and is not walked.  An int among the
         options stands for that many such rescue seats.
         """
-        nonlocal queue, partial, allowed, flag, pos, nodes
-        nonlocal owed, n_owed, owed_on
+        nonlocal owed, owed_on, queue, partial, allowed, flag, pos, nodes
         while decisions:
             if nodes > node_budget:
                 return True
-            key, start, part_allowed, lead, doomed, options = decisions[-1]
+            key, start, part_allowed, part_owed_on, lead, doomed, options = (
+                decisions[-1]
+            )
             if not options:
                 decisions.pop()
                 dead[key] = nodes - start
@@ -1036,10 +1032,9 @@ def _solve_schedule(
                 and (doomed or lead & ~compat[term])
             ):
                 continue
-            _, n_committed, queue, part, _, px = key
-            if len(codewords) > n_committed:
-                owed, n_owed, owed_on = saved[n_committed]
-                del saved[n_committed:], codewords[n_committed:]
+            owed, n_committed, queue, part, _, px = key
+            owed_on = part_owed_on
+            del codewords[n_committed:]
             partial = list(part)
             allowed = part_allowed
             flag = next_flag
@@ -1067,7 +1062,7 @@ def _solve_schedule(
                 return None
             done = len(codewords) + 1
             steps = budget - done
-            left = n_owed - len(partial)
+            left = owed.bit_count() - len(partial)
             # Without the tail construction (possible only while at least
             # K cells are owed) the term count can never grow again.
             cap = arity if left >= K else min(arity, len(partial))
@@ -1080,10 +1075,8 @@ def _solve_schedule(
                 if backtrack():
                     continue
                 return None
-            saved.append((owed, n_owed, owed_on))
             for cell in partial:
                 owed ^= 1 << cell
-            n_owed = left
             owed_on = left_on
             codewords.append(partial)
             if not owed:
@@ -1113,7 +1106,7 @@ def _solve_schedule(
             if backtrack():
                 continue
             return None
-        if not partial and n_owed == K:
+        if not partial and owed.bit_count() == K:
             tail = _checked_tail(ring, owed, params)
             if tail is not None:
                 partial = tail
@@ -1159,7 +1152,7 @@ def _solve_schedule(
             doomed,
         )
         options.reverse()
-        decisions.append((key, nodes, allowed, lead, doomed, options))
+        decisions.append((key, nodes, allowed, owed_on, lead, doomed, options))
         if backtrack():
             continue
         return None

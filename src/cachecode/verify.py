@@ -194,7 +194,19 @@ class FileStore:
         return len(self.files[0]) // self.n_subpackets
 
     def subpacket(self, file_index: int, packet: int) -> bytes:
-        """Byte slice of 1-based packet ``packet`` of 1-based file."""
+        """Byte slice of 1-based packet ``packet`` of 1-based file.
+
+        Raises :class:`InstanceError` for a file outside 1..len(files) or a
+        packet outside 1..n_subpackets.
+        """
+        if not 1 <= file_index <= len(self.files):
+            raise InstanceError(
+                f"file {file_index} is outside 1..{len(self.files)}"
+            )
+        if not 1 <= packet <= self.n_subpackets:
+            raise InstanceError(
+                f"packet {packet} is outside 1..{self.n_subpackets}"
+            )
         size = self.subpacket_size
         return self.files[file_index - 1][(packet - 1) * size : packet * size]
 
@@ -245,8 +257,8 @@ def simulate_end_to_end(
     slice, which at a fixed length determines the bytes.  With
     ``strict=True`` the first failure raises :class:`SimulationMismatch`
     naming the user and packet; ``seed`` is echoed in that message so runs
-    can be reproduced.  A schedule term whose user lies outside 1..K raises
-    :class:`InstanceError`.
+    can be reproduced.  A schedule term whose user or packet lies outside
+    1..K raises :class:`InstanceError`.
     """
     demands = validate_demand(params, demands)
     K = params.n_users
@@ -264,19 +276,12 @@ def simulate_end_to_end(
         layout = build_cache_layout(params)
     if schedule is None:
         schedule = generate_schedule(params, demands)
-    size = store.subpacket_size
     slices: dict[tuple[int, int], int] = {}
 
     def slice_int(key: tuple[int, int]) -> int:
         value = slices.get(key)
         if value is None:
-            data = store.subpacket(*key)
-            # A packet index outside 1..K slices short of a sub-packet.
-            if len(data) != size:
-                raise ValueError(
-                    f"cannot XOR {size} bytes with {len(data)} bytes"
-                )
-            value = slices[key] = int.from_bytes(data, "big")
+            value = slices[key] = int.from_bytes(store.subpacket(*key), "big")
         return value
 
     for cw in schedule.codewords:

@@ -3,6 +3,7 @@ codeword, replacement rules, schedule generation, the orbit fallbacks, and
 the pairwise closed form."""
 
 import dataclasses
+import itertools
 import logging
 import math
 import random
@@ -25,6 +26,7 @@ from cachecode.delivery import (
     Codeword,
     SchemeConstants,
     _bits,
+    _block_orbit,
     _checked_tail,
     _diagonals_feasible,
     _replacement_choices,
@@ -219,6 +221,33 @@ class TestTailSubroutine:
             tail_subroutine(remaining, instance(5, 2))
 
 
+class TestTailStep:
+    def test_the_tail_codeword_is_emitted(self, monkeypatch):
+        # K=8, i=5 reaches the tail step once, and its codeword is sent; with
+        # the step refused, the sweep finishes on another schedule.
+        params = instance(8, 5)
+        built = []
+
+        def recording(ring, owed, params):
+            cells = _checked_tail(ring, owed, params)
+            built.append(None if cells is None else ring.codeword(cells))
+            return cells
+
+        monkeypatch.setattr(delivery, "_checked_tail", recording)
+        codewords = generate_schedule(params).codewords
+        assert built == [
+            (
+                SubpacketId(1, 7),
+                SubpacketId(3, 1),
+                SubpacketId(5, 3),
+                SubpacketId(7, 5),
+            )
+        ]
+        assert built[0] in codewords
+        monkeypatch.setattr(delivery, "_checked_tail", lambda *args: None)
+        assert generate_schedule(params).codewords != codewords
+
+
 def moved(term: SubpacketId, flag: int, K: int) -> SubpacketId:
     """``_rule_cell`` applied to a sub-packet id."""
     u, p = divmod(_rule_cell((term.user - 1) * K + term.packet - 1, flag, K), K)
@@ -260,7 +289,10 @@ class TestReplacementChoices:
         )
         return [
             option if isinstance(option, int)
-            else (None if option[0] is None else ring.terms[option[0]], option[1])
+            else (
+                None if option[0] is None else ring.codeword([option[0]])[0],
+                option[1],
+            )
             for option in options
         ]
 
@@ -452,10 +484,11 @@ class TestIntegerCells:
     @pytest.mark.parametrize("K,i", [(1, 0), (6, 4), (13, 9)])
     def test_cells_follow_subpacket_order_and_advance_diagonally(self, K, i):
         ring = _Ring(build_cache_layout(instance(K, i)))
-        assert ring.terms == sorted(ring.terms)
-        for c, (u, p) in enumerate(ring.terms):
+        terms = ring.codeword(range(K * K))
+        assert list(terms) == sorted(terms)
+        for c, (u, p) in enumerate(terms):
             assert ring.cell(SubpacketId(u, p)) == c
-            assert ring.terms[ring.adv[c]] == (u % K + 1, p % K + 1)
+            assert terms[ring.adv[c]] == (u % K + 1, p % K + 1)
             assert ring.diag[c] == (p - u) % K
 
 
@@ -840,6 +873,25 @@ class TestOrbitConstructions:
     )
     def test_construction_is_reached(self, K, i, construction, caplog):
         assert orbit_construction(K, i, caplog) == construction
+
+
+class TestTransversalBlocks:
+    def test_only_the_mirrored_blocks_admit_a_transversal(self):
+        # K=27, i=15 owes diagonals 15..26; of the 495 blocks of four, only
+        # the five closed under the mirror d -> 41 - d have a transversal.
+        ring = _Ring(build_cache_layout(instance(27, 15)))
+        found = [
+            block
+            for block in itertools.combinations(ring.owed_diagonals, 4)
+            if _block_orbit(block, 1, ring) is not None
+        ]
+        assert found == [
+            (15, 16, 25, 26),
+            (16, 17, 24, 25),
+            (17, 18, 23, 24),
+            (18, 19, 22, 23),
+            (19, 20, 21, 22),
+        ]
 
 
 def refuse(name):

@@ -167,6 +167,24 @@ class TestFileStore:
         assert store.subpacket(1, 2) == b"cd"
         assert store.subpacket(2, 3) == b"kl"
 
+    @pytest.mark.parametrize(
+        "file_index,packet,message",
+        [
+            (0, 1, "file 0 is outside 1..2"),
+            (3, 1, "file 3 is outside 1..2"),
+            (1, -1, "packet -1 is outside 1..3"),
+            (1, 0, "packet 0 is outside 1..3"),
+            (1, 4, "packet 4 is outside 1..3"),
+        ],
+    )
+    def test_rejects_a_file_or_packet_outside_the_store(
+        self, file_index, packet, message
+    ):
+        store = FileStore(files=(b"abcdef", b"ghijkl"), n_subpackets=3)
+        with pytest.raises(InstanceError) as err:
+            store.subpacket(file_index, packet)
+        assert str(err.value) == message
+
     def test_rejects_ragged_or_indivisible_files(self):
         with pytest.raises(InstanceError):
             FileStore(files=(), n_subpackets=3)
@@ -465,17 +483,19 @@ class TestSimulatorMatchesReference:
             [],
         )
 
-    @pytest.mark.parametrize("packet", [0, 7])
+    @pytest.mark.parametrize("packet", [0, 7, -1])
     def test_a_packet_outside_the_file(self, packet):
+        # Both simulators slice through the same store, which rejects the
+        # packet; -1 would otherwise read the slice of packet 5.
         params = instance(6, 4)
         store = random_file_store(params, seed=0, subpacket_size=2)
         broken = schedule_with(params, [(SubpacketId(1, packet),)])
         messages = []
         for simulate in (simulate_end_to_end, reference_simulate):
-            with pytest.raises(ValueError) as err:
+            with pytest.raises(InstanceError) as err:
                 simulate(params, range(1, 7), store, schedule=broken)
             messages.append(str(err.value))
-        assert messages[0] == messages[1] == "cannot XOR 2 bytes with 0 bytes"
+        assert messages[0] == messages[1] == f"packet {packet} is outside 1..6"
 
     def test_two_swapped_terms(self, caplog):
         params = instance(8, 3)
