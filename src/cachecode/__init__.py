@@ -19,12 +19,10 @@ from .delivery import (
     mn_subpacketization,
     rate,
     scheme_constants,
-    tail_subroutine,
 )
 from .errors import (
     CacheCodeError,
     InstanceError,
-    NoSeedTerm,
     RegimeError,
     ScheduleError,
     SimulationMismatch,
@@ -76,7 +74,6 @@ __all__ = [
     "DemandVector",
     "FileStore",
     "InstanceError",
-    "NoSeedTerm",
     "OptimalityRow",
     "RateBoundCurve",
     "RegimeError",
@@ -112,7 +109,6 @@ __all__ = [
     "rate",
     "scheme_constants",
     "simulate_end_to_end",
-    "tail_subroutine",
     "validate_demand",
     "verify_instantaneous_decodability",
     "wrap",

@@ -14,13 +14,13 @@ The sweep seeds one structured codeword and then repeatedly advances
 every term's user and packet index by one (mod K).  Advanced terms that were
 already served are patched: first through a small replacement rule set, then
 -- when the rules dead-end -- by re-seating the term on any still-owed
-sub-packet compatible with the codeword under construction, and, when a
-whole round has been consumed and exactly K sub-packets remain, through a
-dedicated tail construction that spreads the last codewords evenly over the
-ring.  A depth-first search over the replacement placements, pruned by
-exact counting bounds, drives the transmission count to
-ceil(K*(K-i)/arity), which beats splitting files into binom(K, i) pieces at
-a rate cost that vanishes for large caches.  The search skips work whose
+sub-packet compatible with the codeword under construction.  When a
+codeword opens on a served term while exactly K sub-packets remain, the
+tail step sends user 1's first owed cell together with its shifts by
+floor(j*K/arity), spread evenly over the ring.  A depth-first search over
+the replacement placements, pruned by exact counting bounds, drives the
+transmission count to ceil(K*(K-i)/arity), which beats splitting files into
+binom(K, i) pieces at a rate cost that vanishes for large caches.  The search skips work whose
 outcome it already knows -- states it has searched to exhaustion, and
 placements that fail on the very next owed cells -- but still counts it,
 so its decision budget and its schedules are those of the plain search.
@@ -31,14 +31,14 @@ back to equivalent constructions with the same transmission count
 (:func:`_orbit_schedule`).  Each is a plan: blocks of owed diagonals, each
 swept by the shift orbit of one base codeword, and the diagonals left over,
 tiled directly.  The plans, in order: every coset cover, whose blocks take
-all diagonals; striped transversal groups plus the loose diagonals; and
-the whole owed region, tiled.  A tiling packs diagonals into exactly the
-right number of codewords, by shifted runs when it can and otherwise by
-seeded min-conflicts local search.  Every orbit shifts a base codeword
-found by one search (:func:`_orbit_base`); a shifted base is again a base,
-so that search starts every base at user 0.  Every construction bounds how
-densely a codeword can sample a diagonal by the spacing the ring holds for
-each diagonal (:class:`_Ring`).
+all diagonals; striped transversal groups plus the loose diagonals; the
+same with mirror-closed groups; and the whole owed region, tiled.  A tiling
+packs diagonals into exactly the right number of codewords, by shifted runs
+when it can and otherwise by seeded min-conflicts local search.  Every
+orbit shifts a base codeword found by one search (:func:`_orbit_base`); a
+shifted base is again a base, so that search starts every base at user 0.
+Every construction bounds how densely a codeword can sample a diagonal by
+the spacing the ring holds for each diagonal (:class:`_Ring`).
 
 Internally the search and the fallbacks work on integer cells of the K x K
 (user, packet) ring and on bitmasks of them (:class:`_Ring`): a cell's
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .errors import InstanceError, NoSeedTerm, RegimeError, ScheduleError
+from .errors import InstanceError, RegimeError, ScheduleError
 from .model import (
     CacheLayout,
     SubpacketId,
@@ -78,7 +78,6 @@ __all__ = [
     "mn_rate",
     "mn_subpacketization",
     "initial_codeword_terms",
-    "tail_subroutine",
     "generate_schedule",
     "closed_form_pairs",
 ]
@@ -176,34 +175,6 @@ def initial_codeword_terms(params: SystemParams) -> list[SubpacketId]:
     if consts.arity % 2 == 1 and i < K - 2:
         u, p = terms[-1]
         terms[-1] = SubpacketId(u, wrap(p + 1, K))
-    return terms
-
-
-def tail_subroutine(
-    remaining: Collection[SubpacketId], params: SystemParams
-) -> list[SubpacketId]:
-    """Build a full codeword directly when exactly K sub-packets remain.
-
-    At that point every user is missing one sub-packet and the survivors sit
-    on a diagonal of the (user, packet) ring, so the codeword seeds at user
-    1's leftover (smallest packet index if several) and places the other
-    arity-1 terms at offsets floor(j*K/arity) along both coordinates.
-    """
-    consts = scheme_constants(params)
-    K = params.n_users
-    if len(remaining) != K:
-        raise InstanceError(
-            f"tail construction applies when exactly K={K} sub-packets "
-            f"remain, got {len(remaining)}"
-        )
-    seeds = sorted(p for (u, p) in remaining if u == 1)
-    if not seeds:
-        raise NoSeedTerm("user 1 has no remaining demand to seed the tail")
-    k = seeds[0]
-    terms = [SubpacketId(1, k)]
-    for j in range(1, consts.arity):
-        off = j * K // consts.arity
-        terms.append(SubpacketId(wrap(1 + off, K), wrap(k + off, K)))
     return terms
 
 
@@ -480,18 +451,23 @@ def _diagonals_feasible(
     return True
 
 
-def _checked_tail(
-    ring: _Ring, owed: int, params: SystemParams
-) -> list[int] | None:
-    """Tail codeword when it is well formed, else None to fall back."""
-    try:
-        terms = tail_subroutine(ring.codeword(_bits(owed)), params)
-    except NoSeedTerm:
+def _checked_tail(ring: _Ring, owed: int, arity: int) -> list[int] | None:
+    """The tail codeword, or None when it is not well formed.
+
+    Seeds at user 1's owed cell with the lowest packet and adds its shifts
+    by floor(j*K/arity), j = 1..arity-1, each of which must be owed and fit
+    the cells before it.  None also when user 1 owes nothing.
+    """
+    K = ring.n_users
+    # User 1's cells are 0..K-1, in packet order.
+    row = owed & ((1 << K) - 1)
+    if not row:
         return None
+    seed = (row & -row).bit_length() - 1
     built: list[int] = []
     allowed = owed
-    for term in terms:
-        cell = ring.cell(term)
+    for j in range(arity):
+        cell = ring.shift(seed, j * K // arity)
         if not allowed >> cell & 1:
             return None
         built.append(cell)
@@ -728,8 +704,6 @@ def _spaced_run_cover(
     K = ring.n_users
     compat = ring.compat
     n_diag = len(offsets)
-    if n_diag == 0:
-        return None
     bases: dict[tuple[int, int], list[int] | None] = {}
     for m in range(1, arity // n_diag + 1):
         spare = arity - m * n_diag
@@ -756,10 +730,8 @@ def _spaced_run_cover(
                     [ring.shift(c, r * m * d) for c in base] for r in range(q)
                 ]
                 extras = [
-                    ring.on_diagonal(
-                        (base[k * m] // K + (m * q + x) * d) % K, off
-                    )
-                    for k, off in enumerate(offsets)
+                    ring.shift(base[k * m], (m * q + x) * d)
+                    for k in range(n_diag)
                     for x in range(rem)
                 ]
                 budget = _SPACED_RUN_SEATS
@@ -812,10 +784,10 @@ def _tile_leftover(
     K = ring.n_users
     if not offsets:
         return ([], "") if n_cliques == 0 else None
-    lower = -(-len(offsets) * K // arity)
-    for off in offsets:
-        lower = max(lower, -(-K // min(arity, ring.team[off])))
-    if lower > n_cliques:
+    counts = [K if d in offsets else 0 for d in range(K)]
+    if len(offsets) * K > arity * n_cliques or not _diagonals_feasible(
+        counts, n_cliques, ring.team
+    ):
         return None
     built = _spaced_run_cover(offsets, n_cliques, arity, ring)
     if built is not None:
@@ -902,7 +874,14 @@ def _orbit_schedule(
        striped in offset order into (K-i) // arity groups, each swept by
        a transversal orbit (one cell per diagonal), and the (K-i) % arity
        loosest-spaced diagonals left over;
-    3. whole-region: no blocks, every owed diagonal left over.
+    3. mirrored, for even arity: as many transversal blocks, block g
+       holding the next arity/2 pairs of diagonals d, i+K-1-d from the
+       outside in -- the pairs the mirror sigma(u, p) = (p, u+i-1)
+       swaps -- and the same loose diagonals; tried only when no loose
+       diagonal falls inside a block and the blocks differ from the
+       striped ones.  Observed, not proved: for odd K = 27..39 with
+       i = (K+3)/2 the striped blocks admit no transversal and these do;
+    4. whole-region: no blocks, every owed diagonal left over.
 
     Logs which plan finished and, when it tiled any diagonals, by which
     tiler.
@@ -915,7 +894,23 @@ def _orbit_schedule(
         n_loose = len(offsets) % consts.arity
         grouped = sorted(by_spacing[n_loose:])
         stripes = [(1, grouped[g::n_groups]) for g in range(n_groups)]
-        plans.append(("transversal", stripes, sorted(by_spacing[:n_loose])))
+        loose = sorted(by_spacing[:n_loose])
+        plans.append(("transversal", stripes, loose))
+        half = consts.arity // 2
+        mirrored = [
+            (1, sorted(
+                d
+                for k in range(g * half, (g + 1) * half)
+                for d in (offsets[k], offsets[-1 - k])
+            ))
+            for g in range(n_groups)
+        ]
+        if (
+            consts.arity % 2 == 0
+            and set(loose).isdisjoint(d for _, b in mirrored for d in b)
+            and mirrored != stripes
+        ):
+            plans.append(("mirrored", mirrored, loose))
     plans.append(("whole-region", [], offsets))
     for name, blocks, leftover in plans:
         codewords: list[tuple[int, ...]] = []
@@ -1069,8 +1064,8 @@ def _solve_schedule(
             left_on = list(owed_on)
             for cell in partial:
                 left_on[diag[cell]] -= 1
-            if left > cap * steps or (
-                left and not _diagonals_feasible(left_on, steps, ring.team)
+            if left > cap * steps or not _diagonals_feasible(
+                left_on, steps, ring.team
             ):
                 if backtrack():
                     continue
@@ -1107,7 +1102,7 @@ def _solve_schedule(
                 continue
             return None
         if not partial and owed.bit_count() == K:
-            tail = _checked_tail(ring, owed, params)
+            tail = _checked_tail(ring, owed, arity)
             if tail is not None:
                 partial = tail
                 for cell in tail:
@@ -1166,12 +1161,13 @@ def generate_schedule(
     Arity 2 (1 <= i <= K/2) is :func:`closed_form_pairs`.  Above it, walks
     the seed codeword around the ring: each transmission keeps the advanced
     terms that are still owed, patches served ones (rule set first,
-    compatible re-seating when the rules dead-end), and switches to
-    :func:`tail_subroutine` when a transmission opens with a served term
-    while exactly K sub-packets remain.  Backtracking over the patch
-    placements makes the transmission count land on the closed form, the
-    orbit fallback takes over when the sweep gives up, and the shape is
-    re-checked before the schedule is returned.
+    compatible re-seating when the rules dead-end), and sends the tail
+    codeword -- user 1's first owed cell and its shifts by floor(j*K/arity)
+    -- when a transmission opens with a served term while exactly K
+    sub-packets remain.  Backtracking over the patch placements makes the
+    transmission count land on the closed form, the orbit fallback takes
+    over when the sweep gives up, and the shape is re-checked before the
+    schedule is returned.
 
     The demand vector only matters for moving actual bytes; the schedule
     itself is keyed on user positions and is identical for all demands.

@@ -13,10 +13,6 @@ class RegimeError(CacheCodeError):
     """An operation was called outside the parameter regime it covers."""
 
 
-class NoSeedTerm(CacheCodeError):
-    """The tail subroutine found no remaining demand of user 1 to seed from."""
-
-
 class ScheduleError(CacheCodeError):
     """A generated schedule violated one of its structural guarantees."""
 

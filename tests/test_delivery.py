@@ -1,6 +1,6 @@
 """Unit tests for delivery: scheme constants, rate formulas, the seed
-codeword, replacement rules, schedule generation, the orbit fallbacks, and
-the pairwise closed form."""
+codeword, the tail step, replacement rules, schedule generation, the orbit
+fallbacks, and the pairwise closed form."""
 
 import dataclasses
 import itertools
@@ -44,9 +44,8 @@ from cachecode.delivery import (
     mn_subpacketization,
     rate,
     scheme_constants,
-    tail_subroutine,
 )
-from cachecode.errors import InstanceError, NoSeedTerm, RegimeError
+from cachecode.errors import InstanceError, RegimeError
 from cachecode.model import (
     CacheLayout,
     SubpacketId,
@@ -182,43 +181,52 @@ class TestSeedCodeword:
         assert all(term in owed for term in terms)
 
 
-class TestTailSubroutine:
-    def test_pairs_across_half_the_ring(self):
-        remaining = [SubpacketId(u, (u + 3) % 5 + 1) for u in range(1, 6)]
-        assert remaining[0] == SubpacketId(1, 5)
-        assert tail_subroutine(remaining, instance(5, 2)) == [
-            SubpacketId(1, 5),
-            SubpacketId(3, 2),
-        ]
+class TestCheckedTail:
+    """The tail codeword: user 1's first owed cell and its shifts."""
 
-    def test_offset_is_half_of_six(self):
-        remaining = [SubpacketId(u, (u + 4) % 6 + 1) for u in range(1, 7)]
-        assert tail_subroutine(remaining, instance(6, 3)) == [
-            SubpacketId(1, 6),
-            SubpacketId(4, 3),
-        ]
+    def ring(self):
+        # K=8, i=5 has arity 4, so the shifts are by 0, 2, 4 and 6.
+        return _Ring(build_cache_layout(instance(8, 5)))
 
-    def test_seeds_at_the_smallest_leftover_of_user_one(self):
-        remaining = [
-            SubpacketId(1, 4),
-            SubpacketId(1, 3),
-            SubpacketId(2, 4),
+    def diagonal(self, ring, offset):
+        return sum(1 << ring.on_diagonal(u, offset) for u in range(8))
+
+    def test_seeds_at_the_lowest_owed_packet_of_user_one(self):
+        ring = self.ring()
+        # User 1 owes packets 7 and 8; the seed is (1, 7), on diagonal 6.
+        owed = self.diagonal(ring, 6) | self.diagonal(ring, 7)
+        seed = ring.on_diagonal(0, 6)
+        cells = _checked_tail(ring, owed, 4)
+        assert cells == [ring.shift(seed, s) for s in (0, 2, 4, 6)]
+        assert ring.codeword(cells) == (
+            SubpacketId(1, 7),
             SubpacketId(3, 1),
-        ]
-        terms = tail_subroutine(remaining, instance(4, 2))
-        assert terms[0] == SubpacketId(1, 3)
+            SubpacketId(5, 3),
+            SubpacketId(7, 5),
+        )
 
-    def test_rejects_wrong_size(self):
-        with pytest.raises(InstanceError):
-            tail_subroutine([SubpacketId(1, 5)], instance(5, 2))
+    def test_user_one_owing_nothing_gives_none(self):
+        ring = self.ring()
+        # Cells 0..7 are user 1's.
+        owed = self.diagonal(ring, 6) & ~((1 << 8) - 1)
+        assert _checked_tail(ring, owed, 4) is None
 
-    def test_needs_a_seed_from_user_one(self):
-        remaining = [SubpacketId(2, p) for p in (1, 4, 5)] + [
-            SubpacketId(3, 1),
-            SubpacketId(4, 2),
-        ]
-        with pytest.raises(NoSeedTerm):
-            tail_subroutine(remaining, instance(5, 2))
+    def test_a_shifted_cell_not_owed_gives_none(self):
+        ring = self.ring()
+        owed = self.diagonal(ring, 6) & ~(1 << ring.on_diagonal(4, 6))
+        assert _checked_tail(ring, owed, 4) is None
+
+    def test_a_conflicting_shifted_cell_gives_none(self):
+        # Cells of diagonal 7 are at least 3 users apart in a codeword, and
+        # the first shift moves the seed (1, 8) by two users, onto an owed
+        # cell.
+        ring = self.ring()
+        owed = self.diagonal(ring, 7)
+        seed = ring.on_diagonal(0, 7)
+        assert ring.spacing[7] == 3
+        assert owed >> ring.shift(seed, 2) & 1
+        assert not ring.compat[seed] >> ring.shift(seed, 2) & 1
+        assert _checked_tail(ring, owed, 4) is None
 
 
 class TestTailStep:
@@ -228,8 +236,8 @@ class TestTailStep:
         params = instance(8, 5)
         built = []
 
-        def recording(ring, owed, params):
-            cells = _checked_tail(ring, owed, params)
+        def recording(ring, owed, arity):
+            cells = _checked_tail(ring, owed, arity)
             built.append(None if cells is None else ring.codeword(cells))
             return cells
 
@@ -722,7 +730,7 @@ def reference_solve_schedule(
                 continue
             return None
         if not partial and n_owed == K:
-            tail = _checked_tail(ring, owed, params)
+            tail = _checked_tail(ring, owed, arity)
             if tail is not None:
                 partial = tail
                 for cell in tail:
@@ -837,11 +845,11 @@ def orbit_construction(K, i, caplog):
     """Which orbit construction finished ``generate_schedule`` for (K, i).
 
     Reads the fallback's debug line, which names the plan that finished
-    and the tiler of its leftover diagonals, if it had any: the coset
-    plan; the whole-region plan when there were transversal groups, which
-    failed; else the tiler, of the diagonals the orbits leave loose or of
-    the whole region when there are no groups to orbit; else the
-    transversal orbits alone.
+    and the tiler of its leftover diagonals, if it had any: the coset or
+    mirrored plan; the whole-region plan when there were transversal
+    groups, which failed; else the tiler, of the diagonals the orbits leave
+    loose or of the whole region when there are no groups to orbit; else
+    the transversal orbits alone.
     """
     n_groups = (K - i) // scheme_constants(instance(K, i)).arity
     with caplog.at_level(logging.DEBUG, logger="cachecode.delivery"):
@@ -851,15 +859,16 @@ def orbit_construction(K, i, caplog):
         rf"orbit fallback for K={K}, i={i}: (\S+) plan(?:, tiled by (.+))?",
         line,
     ).groups()
-    if plan == "coset":
-        return "coset"
+    if plan in ("coset", "mirrored"):
+        return plan
     if plan == "whole-region" and n_groups:
         return "whole-region tiling"
     return tiler or "transversal orbits"
 
 
 class TestOrbitConstructions:
-    """Each orbit construction finishes at least one K <= 24 instance."""
+    """Each orbit construction finishes at least one instance, all but the
+    mirrored plan one with K <= 24."""
 
     @pytest.mark.parametrize(
         "K,i,construction",
@@ -869,6 +878,7 @@ class TestOrbitConstructions:
             (19, 13, "spaced run"),
             (13, 10, "min-conflicts"),
             (22, 16, "whole-region tiling"),
+            (27, 15, "mirrored"),
         ],
     )
     def test_construction_is_reached(self, K, i, construction, caplog):

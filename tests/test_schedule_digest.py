@@ -9,8 +9,9 @@ spent, are captured during the same run and pinned by their own digest;
 only the instances with 2i > K run the sweep and log one.  The arity-2
 instances 1 <= i <= K/2 come from the pairwise closed form, and the sweep
 run on them alone reproduces it codeword for codeword.
-Nine fallback instances, eight of them past K = 24, are pinned the same
-way as the grid.
+Sixteen fallback instances, fifteen of them past K = 24, are pinned the
+same way as the grid, and each of them is verified and delivered bit for
+bit.
 """
 
 import importlib.util
@@ -24,7 +25,11 @@ from cachecode.delivery import (
     initial_codeword_terms,
     scheme_constants,
 )
-from cachecode.verify import verify_instantaneous_decodability
+from cachecode.verify import (
+    random_file_store,
+    simulate_end_to_end,
+    verify_instantaneous_decodability,
+)
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "schedule_digest.py"
 GRID24_DIGEST = "dc45ef230d79d3c2d9e6ea3a035b557cf3377be3653749f267f0c3d6685fa32a"
@@ -44,6 +49,13 @@ FALLBACK_DIGESTS = [
     (
         "25:13,31:20,38:23,39:24,40:34,25:19",
         "e1417d04cc8d55aa5175f6b28712431a3e65a1771251c2b0d4e6170df3127ba1",
+    ),
+    # Odd K = 27..39 with i = (K+3)/2: mirrored transversal blocks, with
+    # loose diagonals tiled by spaced run or min-conflicts for all but
+    # K=27 and K=35.
+    (
+        "27:15,29:16,31:17,33:18,35:19,37:20,39:21",
+        "2e860abbb51e5d8e949c2bb72ff0bc354f82732783a69ec6fa7329e1e36ae427",
     ),
 ]
 
@@ -113,16 +125,27 @@ def test_sweep_reproduces_the_pair_closed_form(grid24):
 @pytest.mark.parametrize(
     "instances,digest", FALLBACK_DIGESTS, ids=[i for i, _ in FALLBACK_DIGESTS]
 )
-def test_fallback_instances_past_k24_are_pinned(instances, digest, capsys):
-    assert digest_script.main(["--instances", instances]) == 0
-    assert capsys.readouterr().out.strip() == digest
+def test_fallback_instances_past_k24_are_pinned(instances, digest):
+    schedules = [
+        digest_script.instance_schedule(K, i)
+        for K, i in digest_script.parse_instances(instances)
+    ]
+    assert digest_script.digest_of(schedules) == digest
+    for schedule in schedules:
+        params = schedule.params
+        assert verify_instantaneous_decodability(schedule).ok
+        store = random_file_store(params, seed=0)
+        assert simulate_end_to_end(
+            params, range(1, params.n_users + 1), store,
+            schedule=schedule, strict=True,
+        )
 
 
 def test_k40_leaves_out_only_the_unbounded_instances():
     K40 = digest_script.K40
-    assert len(K40) == 764 == len(set(K40))
+    assert len(K40) == 771 == len(set(K40))
     assert digest_script.GRID24 == K40[: len(digest_script.GRID24)]
-    assert len(digest_script.K40_UNBOUNDED) == 16
+    assert len(digest_script.K40_UNBOUNDED) == 9
     assert set(K40) | digest_script.K40_UNBOUNDED == {
         (K, i) for K in range(2, 41) for i in range(1, K)
     }
