@@ -552,19 +552,14 @@ def _block_orbit(
     return [tuple(ring.shift(c, s) for c in base) for s in period]
 
 
-def _conflicts(order: Sequence[int], ring: _Ring) -> list[int]:
-    """Bit b of entry a: cells order[a] and order[b] cannot share a codeword."""
-    conflicts = []
-    for a, cell in enumerate(order):
-        fits = ring.compat[cell]
-        conflicts.append(
-            sum(
-                1 << b
-                for b, other in enumerate(order)
-                if b != a and not fits >> other & 1
-            )
-        )
-    return conflicts
+def _tally(planes: list[int], mask: int, flip: int) -> None:
+    """Add one (``flip`` 0) or take one (``flip`` -1) at each bit of
+    ``mask`` in the bit-sliced counter ``planes``, bit p in plane p."""
+    for p, plane in enumerate(planes):
+        planes[p] = plane ^ mask
+        mask &= plane ^ flip
+        if not mask:
+            return
 
 
 def _tile_minconf(
@@ -583,102 +578,133 @@ def _tile_minconf(
     the whole procedure is reproducible.  Fast on the irregular instances
     that admit no shift structure; returns None when every pass stalls,
     which says nothing about feasibility.
+
+    Conflict counts are bit-sliced: ``planes[j]`` counts, for every cell,
+    its conflicts with the members of slot j, and ``own`` with its own
+    slot.  A step scores every swap partner at once with a few big-int
+    operations per plane and keeps the least.  The moves, their order and
+    the random draws are those of a loop over every cell.
     """
     order = sorted(set(cells))
     n = len(order)
     if not (0 < n_cliques <= n <= arity * n_cliques):
         return None
-    adj = _conflicts(order, ring)
+    # adj[a]: the cells b that order[a] cannot share a codeword with.
+    adj = [
+        sum(
+            1 << b
+            for b, other in enumerate(order)
+            if b != a and not fits >> other & 1
+        )
+        for a, fits in enumerate([ring.compat[cell] for cell in order])
+    ]
     floor_size = max(1, n - arity * (n_cliques - 1))
+    every = (1 << n) - 1
+    depth = arity.bit_length()
     for seed in range(_MINCONF_SEEDS):
         rng = random.Random(seed)
         deal = list(range(n))
         rng.shuffle(deal)
         assign = [0] * n
         slots = [0] * n_cliques
+        planes = [[0] * depth for _ in slots]
         for pos, b in enumerate(deal):
             j = pos % n_cliques
             assign[b] = j
             slots[j] |= 1 << b
-        # own[b]: conflicts of b with its slot-mates; members[j]: the
-        # occupants of slot j in ascending order.
-        own = [(adj[b] & slots[assign[b]]).bit_count() for b in range(n)]
-        conflicted = {b for b in range(n) if own[b]}
-        members = [_bits(slot) for slot in slots]
-
-        def refresh(touched: set[int]) -> None:
-            for x in touched:
-                own[x] = (adj[x] & slots[assign[x]]).bit_count()
-                if own[x]:
-                    conflicted.add(x)
-                else:
-                    conflicted.discard(x)
-
+            _tally(planes[j], adj[b], 0)
+        own = [0] * depth
+        for slot, counts in zip(slots, planes):
+            own = [o | c & slot for o, c in zip(own, counts)]
         for _ in range(_MINCONF_MOVES):
-            if not conflicted:
-                return [
-                    tuple(order[b] for b in members[j])
-                    for j in range(n_cliques)
-                ]
-            pool = sorted(conflicted)
-            cell = pool[rng.randrange(len(pool))]
+            conflicted = 0
+            for plane in own:
+                conflicted |= plane
+            if not conflicted or n_cliques == 1:
+                break
+            # The k-th conflicted cell, by bisection on popcounts.
+            k = rng.randrange(conflicted.bit_count())
+            cell, hi = 0, conflicted.bit_length()
+            while hi - cell > 1:
+                mid = (cell + hi) // 2
+                if (conflicted & ((1 << mid) - 1)).bit_count() <= k:
+                    cell = mid
+                else:
+                    hi = mid
             cur = assign[cell]
-            target = -1
-            partner = -1
-            if n_cliques > 1 and rng.random() < 0.01:
+            cell_adj = adj[cell]
+            here = slots[cur]
+            slots[cur] ^= 1 << cell
+            _tally(planes[cur], cell_adj, -1)
+            if rng.random() < 0.01:
                 target = rng.randrange(n_cliques - 1)
                 if target >= cur:
                     target += 1
-                seats = members[target]
+                seats = _bits(slots[target])
                 partner = seats[rng.randrange(len(seats))]
             else:
-                cell_adj = adj[cell]
-                can_leave = len(members[cur]) > floor_size
-                best: int | None = None
-                moves: list[tuple[int, int]] = []
-                for j in range(n_cliques):
-                    if j == cur:
-                        continue
-                    gain = (cell_adj & slots[j]).bit_count() - own[cell]
-                    if can_leave and len(members[j]) < arity:
-                        delta = gain
-                        if best is None or delta <= best:
-                            if best is None or delta < best:
-                                moves = []
-                            best = delta
-                            moves.append((j, -1))
-                    for b in members[j]:
-                        # Swapping cell and b: neither counts the other
-                        # as a conflict once they have traded slots.
-                        delta = (
-                            gain
-                            - 2 * (cell_adj >> b & 1)
-                            + (adj[b] & slots[cur]).bit_count()
-                            - own[b]
-                        )
-                        if best is None or delta <= best:
-                            if best is None or delta < best:
-                                moves = []
-                            best = delta
-                            moves.append((j, b))
-                if not moves:
-                    break
+                # Swapping with b changes the conflicts by
+                #   gone[b] + planes[cur][b] - own[b] - adj(cell, b) - stay,
+                # gone[b] being the cell's conflicts in b's slot: sum the
+                # first two and the complements of own and adj by 3:2
+                # compressors and a ripple, 2**depth too high.
+                by_size = [0] * (arity + 1)
+                for slot in slots:
+                    by_size[(cell_adj & slot).bit_count()] |= slot
+                gone = [
+                    sum([slot for x, slot in enumerate(by_size) if x >> p & 1])
+                    for p in range(depth)
+                ]
+                stay = (cell_adj & here).bit_count()
+                score = []
+                carry = every ^ cell_adj
+                high = 0
+                for a, b, c in zip(gone, planes[cur], own):
+                    c ^= every
+                    ab = a ^ b
+                    s = ab ^ c
+                    sh = s ^ high
+                    score.append(sh ^ carry)
+                    carry = s & high | carry & sh
+                    high = a & b | c & ab
+                score += [high ^ carry, high & carry]
+                swap = -stay - (1 << depth)
+                partners = every ^ here
+                for p in reversed(range(depth + 2)):
+                    low = partners & ~score[p]
+                    if low:
+                        partners = low
+                    else:
+                        swap += 1 << p
+                plain = []
+                if here.bit_count() > floor_size:
+                    plain = [
+                        ((cell_adj & slot).bit_count() - stay, j)
+                        for j, slot in enumerate(slots)
+                        if j != cur and slot.bit_count() < arity
+                    ]
+                best = min([swap] + [delta for delta, _ in plain])
+                moves = [(j, -1) for delta, j in plain if delta == best]
+                if swap == best:
+                    moves += [(assign[b], b) for b in _bits(partners)]
+                moves.sort()
                 target, partner = moves[rng.randrange(len(moves))]
-            slots[cur] &= ~(1 << cell)
             if partner >= 0:
-                slots[target] &= ~(1 << partner)
+                slots[target] ^= 1 << partner
                 slots[cur] |= 1 << partner
+                _tally(planes[target], adj[partner], -1)
+                _tally(planes[cur], adj[partner], 0)
                 assign[partner] = cur
             slots[target] |= 1 << cell
+            _tally(planes[target], cell_adj, 0)
             assign[cell] = target
-            members[cur] = _bits(slots[cur])
-            members[target] = _bits(slots[target])
-            touched = {cell}
-            if partner >= 0:
-                touched.add(partner)
-            near = adj[cell] | (adj[partner] if partner >= 0 else 0)
-            touched.update(_bits(near & (slots[cur] | slots[target])))
-            refresh(touched)
+            rest = every ^ slots[cur] ^ slots[target]
+            own = [
+                o & rest | a & slots[cur] | b & slots[target]
+                for o, a, b in zip(own, planes[cur], planes[target])
+            ]
+        if not any(own):
+            return [tuple(order[b] for b in _bits(slot)) for slot in slots]
     return None
 
 

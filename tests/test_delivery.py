@@ -12,7 +12,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -902,6 +902,217 @@ class TestTransversalBlocks:
             (18, 19, 22, 23),
             (19, 20, 21, 22),
         ]
+
+
+# The min-conflicts tiler that the bit-plane one replaced, kept verbatim
+# as a reference: `TestMinconfMatchesReference` checks that both return the
+# same tilings, and None on the same inputs.
+def reference_conflicts(order: Sequence[int], ring: _Ring) -> list[int]:
+    """Bit b of entry a: cells order[a] and order[b] cannot share a codeword."""
+    conflicts = []
+    for a, cell in enumerate(order):
+        fits = ring.compat[cell]
+        conflicts.append(
+            sum(
+                1 << b
+                for b, other in enumerate(order)
+                if b != a and not fits >> other & 1
+            )
+        )
+    return conflicts
+
+
+def reference_tile_minconf(
+    cells: Collection[int],
+    n_cliques: int,
+    arity: int,
+    ring: _Ring,
+) -> list[tuple[int, ...]] | None:
+    """Partition ``cells`` into ``n_cliques`` codewords by local search.
+
+    Deals the cells round-robin into the codeword slots, then repairs:
+    each step picks a cell that conflicts with a slot-mate and applies the
+    best conflict-reducing move or swap, breaking ties by seeded choice,
+    with a one-percent chance of a random swap to shake loose of plateaus.
+    A stalled pass restarts from a reshuffled deal with the next seed, so
+    the whole procedure is reproducible.  Fast on the irregular instances
+    that admit no shift structure; returns None when every pass stalls,
+    which says nothing about feasibility.
+    """
+    order = sorted(set(cells))
+    n = len(order)
+    if not (0 < n_cliques <= n <= arity * n_cliques):
+        return None
+    adj = reference_conflicts(order, ring)
+    floor_size = max(1, n - arity * (n_cliques - 1))
+    for seed in range(delivery._MINCONF_SEEDS):
+        rng = random.Random(seed)
+        deal = list(range(n))
+        rng.shuffle(deal)
+        assign = [0] * n
+        slots = [0] * n_cliques
+        for pos, b in enumerate(deal):
+            j = pos % n_cliques
+            assign[b] = j
+            slots[j] |= 1 << b
+        # own[b]: conflicts of b with its slot-mates; members[j]: the
+        # occupants of slot j in ascending order.
+        own = [(adj[b] & slots[assign[b]]).bit_count() for b in range(n)]
+        conflicted = {b for b in range(n) if own[b]}
+        members = [_bits(slot) for slot in slots]
+
+        def refresh(touched: set[int]) -> None:
+            for x in touched:
+                own[x] = (adj[x] & slots[assign[x]]).bit_count()
+                if own[x]:
+                    conflicted.add(x)
+                else:
+                    conflicted.discard(x)
+
+        for _ in range(delivery._MINCONF_MOVES):
+            if not conflicted:
+                return [
+                    tuple(order[b] for b in members[j])
+                    for j in range(n_cliques)
+                ]
+            pool = sorted(conflicted)
+            cell = pool[rng.randrange(len(pool))]
+            cur = assign[cell]
+            target = -1
+            partner = -1
+            if n_cliques > 1 and rng.random() < 0.01:
+                target = rng.randrange(n_cliques - 1)
+                if target >= cur:
+                    target += 1
+                seats = members[target]
+                partner = seats[rng.randrange(len(seats))]
+            else:
+                cell_adj = adj[cell]
+                can_leave = len(members[cur]) > floor_size
+                best: int | None = None
+                moves: list[tuple[int, int]] = []
+                for j in range(n_cliques):
+                    if j == cur:
+                        continue
+                    gain = (cell_adj & slots[j]).bit_count() - own[cell]
+                    if can_leave and len(members[j]) < arity:
+                        delta = gain
+                        if best is None or delta <= best:
+                            if best is None or delta < best:
+                                moves = []
+                            best = delta
+                            moves.append((j, -1))
+                    for b in members[j]:
+                        # Swapping cell and b: neither counts the other
+                        # as a conflict once they have traded slots.
+                        delta = (
+                            gain
+                            - 2 * (cell_adj >> b & 1)
+                            + (adj[b] & slots[cur]).bit_count()
+                            - own[b]
+                        )
+                        if best is None or delta <= best:
+                            if best is None or delta < best:
+                                moves = []
+                            best = delta
+                            moves.append((j, b))
+                if not moves:
+                    break
+                target, partner = moves[rng.randrange(len(moves))]
+            slots[cur] &= ~(1 << cell)
+            if partner >= 0:
+                slots[target] &= ~(1 << partner)
+                slots[cur] |= 1 << partner
+                assign[partner] = cur
+            slots[target] |= 1 << cell
+            assign[cell] = target
+            members[cur] = _bits(slots[cur])
+            members[target] = _bits(slots[target])
+            touched = {cell}
+            if partner >= 0:
+                touched.add(partner)
+            near = adj[cell] | (adj[partner] if partner >= 0 else 0)
+            touched.update(_bits(near & (slots[cur] | slots[target])))
+            refresh(touched)
+    return None
+
+
+def orbit_tilings(K, i):
+    """The min-conflicts calls of (K, i)'s orbit fallback, with results."""
+    calls = []
+    real = delivery._tile_minconf
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    params = instance(K, i)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delivery, "_tile_minconf", spy)
+        delivery._orbit_schedule(
+            _Ring(build_cache_layout(params)), scheme_constants(params)
+        )
+    return calls
+
+
+def whole_region(K, i):
+    """The tiler's input for all of (K, i)'s owed diagonals."""
+    ring = _Ring(build_cache_layout(instance(K, i)))
+    arity = scheme_constants(instance(K, i)).arity
+    cells = [
+        ring.on_diagonal(u, off) for off in ring.owed_diagonals for u in range(K)
+    ]
+    return cells, -(-len(cells) // arity), arity, ring
+
+
+class TestMinconfMatchesReference:
+    @pytest.mark.parametrize("K,i", [(13, 10), (19, 14), (22, 16)])
+    def test_orbit_fallback_tilings(self, K, i):
+        calls = orbit_tilings(K, i)
+        assert calls
+        for args, tiled in calls:
+            assert tiled is not None
+            assert tiled == reference_tile_minconf(*args)
+
+    def test_stalled_passes_restart_alike(self, monkeypatch):
+        # With 1000 moves a pass, seeds 0-3 stall on 19:14 and seed 4 tiles.
+        args = whole_region(19, 14)
+        monkeypatch.setattr(delivery, "_MINCONF_MOVES", 1000)
+        monkeypatch.setattr(delivery, "_MINCONF_SEEDS", 4)
+        assert _tile_minconf(*args) is None
+        monkeypatch.setattr(delivery, "_MINCONF_SEEDS", 8)
+        tiled = _tile_minconf(*args)
+        assert tiled is not None
+        assert tiled == reference_tile_minconf(*args)
+
+    def test_every_pass_stalls_alike(self, monkeypatch):
+        monkeypatch.setattr(delivery, "_MINCONF_MOVES", 200)
+        monkeypatch.setattr(delivery, "_MINCONF_SEEDS", 5)
+        args = whole_region(22, 16)
+        assert _tile_minconf(*args) is None
+        assert reference_tile_minconf(*args) is None
+
+    def test_one_codeword_alike(self):
+        # The cases of `TestTilingGuards.test_minconf_for_one_codeword`.
+        for K, i in ((13, 10), (4, 3)):
+            ring = _Ring(build_cache_layout(instance(K, i)))
+            cells = [ring.on_diagonal(u, i) for u in range(K)]
+            assert _tile_minconf(cells, 1, K, ring) == reference_tile_minconf(
+                cells, 1, K, ring
+            )
+
+    def test_the_state_after_the_last_move_counts(self, monkeypatch):
+        # Seed 0 clears 13:10's last three diagonals on its 58th move.  The
+        # reference checks only before each move, so it needs a 59th.
+        ring = _Ring(build_cache_layout(instance(13, 10)))
+        cells = [ring.on_diagonal(u, off) for off in (10, 11, 12) for u in range(13)]
+        monkeypatch.setattr(delivery, "_MINCONF_SEEDS", 1)
+        monkeypatch.setattr(delivery, "_MINCONF_MOVES", 58)
+        tiled = _tile_minconf(cells, 7, 6, ring)
+        assert tiled is not None
+        assert reference_tile_minconf(cells, 7, 6, ring) is None
+        monkeypatch.setattr(delivery, "_MINCONF_MOVES", 59)
+        assert reference_tile_minconf(cells, 7, 6, ring) == tiled
 
 
 def refuse(name):
