@@ -579,40 +579,52 @@ def _tile_minconf(
     that admit no shift structure; returns None when every pass stalls,
     which says nothing about feasibility.
 
-    Conflict counts are bit-sliced: ``planes[j]`` counts, for every cell,
-    its conflicts with the members of slot j, and ``own`` with its own
-    slot.  A step scores every swap partner at once with a few big-int
-    operations per plane and keeps the least.  The moves, their order and
-    the random draws are those of a loop over every cell.
+    Conflict counts are bit-sliced: plane p of ``planes[j]`` holds bit p
+    of every cell's conflicts with the members of slot j, and ``own``
+    those with the cell's own slot.  Bit j < n_cliques is slot j's empty
+    seat, which conflicts with nothing: a swap with it is the plain move
+    into slot j, offered while slot j has room.  A step scores every swap
+    at once, by a carry-save sum over the planes, and keeps the least.
+    The moves, their order and every random draw are those of a loop over
+    the cells, so the tilings are too; a pass also counts when its last
+    move clears the last conflict.
     """
     order = sorted(set(cells))
     n = len(order)
     if not (0 < n_cliques <= n <= arity * n_cliques):
         return None
-    # adj[a]: the cells b that order[a] cannot share a codeword with.
-    adj = [
+    # adj[b]: the cells that cell b, order[b - n_cliques], conflicts with.
+    adj = [0] * n_cliques + [
         sum(
             1 << b
             for b, other in enumerate(order)
             if b != a and not fits >> other & 1
-        )
+        ) << n_cliques
         for a, fits in enumerate([ring.compat[cell] for cell in order])
     ]
-    floor_size = max(1, n - arity * (n_cliques - 1))
-    every = (1 << n) - 1
+    # A cell may leave a slot holding more bits than this, seat included.
+    floor_size = max(1, n - arity * (n_cliques - 1)) + 1
+    every = (1 << n_cliques + n) - 1
+    real = every >> n_cliques << n_cliques
     depth = arity.bit_length()
+    size_bits = [_bits(size) for size in range(arity + 1)]
     for seed in range(_MINCONF_SEEDS):
         rng = random.Random(seed)
         deal = list(range(n))
         rng.shuffle(deal)
-        assign = [0] * n
-        slots = [0] * n_cliques
+        assign = list(range(n_cliques)) + [0] * n
+        slots = [1 << j for j in range(n_cliques)]
         planes = [[0] * depth for _ in slots]
         for pos, b in enumerate(deal):
             j = pos % n_cliques
+            b += n_cliques
             assign[b] = j
             slots[j] |= 1 << b
             _tally(planes[j], adj[b], 0)
+        # The seats of the slots with room.
+        room = sum(
+            1 << j for j, slot in enumerate(slots) if slot.bit_count() <= arity
+        )
         own = [0] * depth
         for slot, counts in zip(slots, planes):
             own = [o | c & slot for o, c in zip(own, counts)]
@@ -640,22 +652,22 @@ def _tile_minconf(
                 target = rng.randrange(n_cliques - 1)
                 if target >= cur:
                     target += 1
-                seats = _bits(slots[target])
-                partner = seats[rng.randrange(len(seats))]
+                mates = _bits(slots[target] & real)
+                partner = mates[rng.randrange(len(mates))]
             else:
-                # Swapping with b changes the conflicts by
-                #   gone[b] + planes[cur][b] - own[b] - adj(cell, b) - stay,
-                # gone[b] being the cell's conflicts in b's slot: sum the
-                # first two and the complements of own and adj by 3:2
-                # compressors and a ripple, 2**depth too high.
+                # Swapping with b changes the conflicts by gone[b] - stay
+                # + planes[cur][b] - own[b] - adj(cell, b), where gone[b]
+                # counts the cell's conflicts in b's slot and stay those in
+                # its own.  3:2 compressors and a ripple sum gone,
+                # planes[cur] and the complements of own and adj: that is
+                # the change plus stay + 2**depth, the same for every b.
                 by_size = [0] * (arity + 1)
                 for slot in slots:
                     by_size[(cell_adj & slot).bit_count()] |= slot
-                gone = [
-                    sum([slot for x, slot in enumerate(by_size) if x >> p & 1])
-                    for p in range(depth)
-                ]
-                stay = (cell_adj & here).bit_count()
+                gone = [0] * depth
+                for size, slot in enumerate(by_size):
+                    for p in size_bits[size]:
+                        gone[p] |= slot
                 score = []
                 carry = every ^ cell_adj
                 high = 0
@@ -668,33 +680,25 @@ def _tile_minconf(
                     carry = s & high | carry & sh
                     high = a & b | c & ab
                 score += [high ^ carry, high & carry]
-                swap = -stay - (1 << depth)
                 partners = every ^ here
-                for p in reversed(range(depth + 2)):
-                    low = partners & ~score[p]
-                    if low:
-                        partners = low
-                    else:
-                        swap += 1 << p
-                plain = []
                 if here.bit_count() > floor_size:
-                    plain = [
-                        ((cell_adj & slot).bit_count() - stay, j)
-                        for j, slot in enumerate(slots)
-                        if j != cur and slot.bit_count() < arity
-                    ]
-                best = min([swap] + [delta for delta, _ in plain])
-                moves = [(j, -1) for delta, j in plain if delta == best]
-                if swap == best:
-                    moves += [(assign[b], b) for b in _bits(partners)]
-                moves.sort()
+                    partners &= real | room
+                else:
+                    partners &= real
+                for p in reversed(score):
+                    partners = partners & ~p or partners
+                moves = sorted((assign[b], b) for b in _bits(partners))
                 target, partner = moves[rng.randrange(len(moves))]
-            if partner >= 0:
+            if partner >= n_cliques:
                 slots[target] ^= 1 << partner
                 slots[cur] |= 1 << partner
                 _tally(planes[target], adj[partner], -1)
                 _tally(planes[cur], adj[partner], 0)
                 assign[partner] = cur
+            else:
+                room |= 1 << cur
+                if slots[target].bit_count() == arity:
+                    room ^= 1 << target
             slots[target] |= 1 << cell
             _tally(planes[target], cell_adj, 0)
             assign[cell] = target
@@ -704,7 +708,10 @@ def _tile_minconf(
                 for o, a, b in zip(own, planes[cur], planes[target])
             ]
         if not any(own):
-            return [tuple(order[b] for b in _bits(slot)) for slot in slots]
+            return [
+                tuple(order[b] for b in _bits(slot >> n_cliques))
+                for slot in slots
+            ]
     return None
 
 
