@@ -904,9 +904,11 @@ class TestTransversalBlocks:
         ]
 
 
-# The min-conflicts tiler that the bit-plane one replaced, kept verbatim
-# as a reference: `TestMinconfMatchesReference` checks that both return the
-# same tilings, and None on the same inputs.
+# The min-conflicts tiler that the bit-sliced one replaced, kept verbatim
+# as a reference, its budgets read from `delivery` at call time:
+# `TestMinconfMatchesReference` checks that both return the same tilings,
+# and None on the same inputs.  The reference checks the state only before
+# each move, so it loses a pass whose last move clears the last conflict.
 def reference_conflicts(order: Sequence[int], ring: _Ring) -> list[int]:
     """Bit b of entry a: cells order[a] and order[b] cannot share a codeword."""
     conflicts = []
@@ -1057,10 +1059,13 @@ def orbit_tilings(K, i):
 
 def whole_region(K, i):
     """The tiler's input for all of (K, i)'s owed diagonals."""
-    ring = _Ring(build_cache_layout(instance(K, i)))
-    arity = scheme_constants(instance(K, i)).arity
+    params = instance(K, i)
+    ring = _Ring(build_cache_layout(params))
+    arity = scheme_constants(params).arity
     cells = [
-        ring.on_diagonal(u, off) for off in ring.owed_diagonals for u in range(K)
+        ring.on_diagonal(u, off)
+        for off in ring.owed_diagonals
+        for u in range(K)
     ]
     return cells, -(-len(cells) // arity), arity, ring
 
@@ -1105,7 +1110,9 @@ class TestMinconfMatchesReference:
         # Seed 0 clears 13:10's last three diagonals on its 58th move.  The
         # reference checks only before each move, so it needs a 59th.
         ring = _Ring(build_cache_layout(instance(13, 10)))
-        cells = [ring.on_diagonal(u, off) for off in (10, 11, 12) for u in range(13)]
+        cells = [
+            ring.on_diagonal(u, off) for off in (10, 11, 12) for u in range(13)
+        ]
         monkeypatch.setattr(delivery, "_MINCONF_SEEDS", 1)
         monkeypatch.setattr(delivery, "_MINCONF_MOVES", 58)
         tiled = _tile_minconf(cells, 7, 6, ring)
