@@ -19,11 +19,12 @@ codeword opens on a served term while exactly K sub-packets remain, the
 tail step sends user 1's first owed cell together with its shifts by
 floor(j*K/arity), spread evenly over the ring.  A depth-first search over
 the replacement placements, pruned by exact counting bounds, drives the
-transmission count to ceil(K*(K-i)/arity), which beats splitting files into
-binom(K, i) pieces at a rate cost that vanishes for large caches.  The search skips work whose
-outcome it already knows -- states it has searched to exhaustion, and
-placements that fail on the very next owed cells -- but still counts it,
-so its decision budget and its schedules are those of the plain search.
+transmission count to ceil(K*(K-i)/arity), which beats splitting files
+into binom(K, i) pieces at a rate cost that vanishes for large caches.
+The search skips work whose outcome it already knows -- states it has
+searched to exhaustion, and placements that fail on the very next owed
+cells or on the commit right after them -- but still counts it, so its
+decision budget and its schedules are those of the plain search.
 
 A few tightly budgeted instances admit no schedule under the sweeping
 discipline (a kept term can wall off every compatible re-seat).  Those fall
@@ -43,10 +44,11 @@ the spacing the ring holds for each diagonal (:class:`_Ring`).
 Internally the search and the fallbacks work on integer cells of the K x K
 (user, packet) ring and on bitmasks of them (:class:`_Ring`): a cell's
 diagonal p - u mod K is fixed by the sweep, and one precomputed mask per
-cell answers every mutual-caching test.  Each sweep decision records the
-search state it was taken in, owed cells included, and backtracking
-restores that state from the record alone.  Sub-packet ids are built only
-for the emitted codewords.
+cell answers every mutual-caching test; owed cells are also kept diagonal
+by diagonal, where a seat's run is one K-bit field.  Each sweep decision
+records the search state it was taken in, owed cells included, and
+backtracking restores that state from the record alone.  Sub-packet ids
+are built only for the emitted codewords.
 """
 
 from __future__ import annotations
@@ -255,7 +257,11 @@ def _assert_schedule_shape(schedule: TransmissionSchedule) -> None:
         raise ScheduleError(f"K={K}, i={i}: {detail}")
 
 
-_PARTNER = {1: 2, 2: 1, 3: 4, 4: 3}
+# The replacement rules in the order tried, by the flag of the last one
+# fired in the codeword: its partner first (1 pairs with 2, 3 with 4).
+_RULE_ORDER = (
+    (1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 3, 4), (4, 1, 2, 3), (3, 1, 2, 4),
+)
 
 
 class _Ring:
@@ -271,6 +277,9 @@ class _Ring:
     on.  Under cyclic placement two cells are compatible exactly when the
     user offset between them suits both diagonals.
 
+    ``dmajor[c] = d*K + u`` numbers the cells diagonal by diagonal: in a
+    mask in that order, diagonal d is one K-bit field, user u at bit u.
+
     Two cells of diagonal d in one codeword are at least ``spacing[d]`` =
     max(d - i + 1, K - d) users apart around the ring, so a codeword holds
     at most ``team[d]`` = K // spacing[d] of them.  The demands fill the
@@ -278,7 +287,7 @@ class _Ring:
     """
 
     __slots__ = (
-        "n_users", "compat", "adv", "diag", "spacing", "team",
+        "n_users", "compat", "adv", "diag", "dmajor", "spacing", "team",
         "owed_diagonals",
     )
 
@@ -300,6 +309,7 @@ class _Ring:
         self.compat = [holders[c % K] & known[c // K] for c in cells]
         self.adv = [self.shift(c, 1) for c in cells]
         self.diag = [(c % K - c // K) % K for c in cells]
+        self.dmajor = [d * K + c // K for c, d in enumerate(self.diag)]
         self.spacing = [max(d - i + 1, K - d) for d in range(K)]
         self.team = [K // gap for gap in self.spacing]
         self.owed_diagonals = range(i, K)
@@ -336,34 +346,32 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _run_ahead(cell: int, free: int, adv: Sequence[int], n_users: int) -> int:
-    """Transmissions a term seated at ``cell`` survives before colliding.
+def _free_run(free_dm: int, spot: int, n_users: int) -> int:
+    """Transmissions a term seated at diagonal-major bit ``spot`` survives
+    before colliding: the trailing ones of its diagonal's K bits of
+    ``free_dm`` (owed and not in the codeword under construction), rotated
+    down to its user."""
+    K = n_users
+    row = (1 << K) - 1
+    u = spot % K
+    line = free_dm >> spot - u & row
+    line = (line >> u | line << K - u) & row
+    return (line ^ line + 1).bit_length() - 1
 
-    ``free`` holds the cells still owed and not in the codeword under
-    construction.
-    """
-    run = 0
-    cur = cell
-    while run < n_users and free >> cur & 1:
-        run += 1
-        cur = adv[cur]
-    return run
 
-
-def _rule_cell(cell: int, flag: int, n_users: int) -> int:
-    """One of the four replacement moves for an already-served term.
-
-    1: bump the packet, 2: bump the user, 3: drop the user, 4: drop the
-    packet -- all cyclically.
-    """
-    u, p = divmod(cell, n_users)
-    if flag == 1:
-        return u * n_users + (p + 1) % n_users
-    if flag == 2:
-        return (u + 1) % n_users * n_users + p
-    if flag == 3:
-        return (u - 1) % n_users * n_users + p
-    return u * n_users + (p - 1) % n_users
+def _rule_cells(cell: int, n_users: int) -> tuple[int, int, int, int]:
+    """The four replacement moves for an already-served term, as rules
+    1..4: bump the packet, bump the user, drop the user, drop the packet
+    -- all cyclically."""
+    K = n_users
+    u, p = divmod(cell, K)
+    first = cell - p
+    return (
+        first + (p + 1) % K,
+        (u + 1) % K * K + p,
+        (u - 1) % K * K + p,
+        first + (p - 1) % K,
+    )
 
 
 def _replacement_choices(
@@ -371,16 +379,16 @@ def _replacement_choices(
     flag: int,
     ring: _Ring,
     owed: int,
+    owed_dm: int,
     owed_on: Sequence[int],
     partial: Sequence[int],
     allowed: int,
     steps_left: int,
-    lead: int,
-    doomed: bool,
+    walk: int,
 ) -> list[tuple[int | None, int] | int]:
     """Ordered placement options for a term whose advance was already served.
 
-    The four local rules of :func:`_rule_cell` come first, each only if
+    The four local rules of :func:`_rule_cells` come first, each only if
     the cell it lands on is owed and fits the codeword.  Once a rule has
     fired, later replacements in the same codeword try its partner rule
     first (1 and 2 pair up, as do 3 and 4).  When the rules dead-end
@@ -389,47 +397,42 @@ def _replacement_choices(
     cells per committed term, then seats whose unobstructed run matches the
     transmissions left.  Abandoning the term is the final option.
 
-    ``owed`` is the owed-cell mask, ``owed_on[d]`` the owed cells on
-    diagonal d, and ``allowed`` the cells compatible with every term of
-    ``partial``.  ``lead`` and ``doomed`` are the sweep's record of the
-    owed cells appended after the term (see :func:`_solve_schedule`): when
-    every rescue seat is outside ``lead`` and its walk fails on them, the
+    ``owed`` is the owed-cell mask and ``owed_dm`` the same cells in
+    diagonal-major order (see :class:`_Ring`), ``owed_on[d]`` the owed
+    cells on diagonal d, and ``allowed`` the cells compatible with every
+    term of ``partial``.  ``walk`` holds the seats the sweep must walk (see
+    :func:`_solve_schedule`); every other seat's walk is known to fail
+    before the next decision.  When no rescue seat is in ``walk``, the
     rescues are given as their count instead of in ranked order.
     """
     K = ring.n_users
     choices: list[tuple[int | None, int] | int] = []
     seen = 0
-    if flag == 0:
-        order: tuple[int, ...] = (1, 2, 3, 4)
-    else:
-        first = _PARTNER[flag]
-        order = (first,) + tuple(k for k in (1, 2, 3, 4) if k != first)
     fits = owed & allowed
-    for k in order:
-        cand = _rule_cell(dead, k, K)
+    moves = _rule_cells(dead, K)
+    for k in _RULE_ORDER[flag]:
+        cand = moves[k - 1]
         if fits >> cand & 1 and not seen >> cand & 1:
             choices.append((cand, k))
             seen |= 1 << cand
-    diag, adv = ring.diag, ring.adv
-    claimed = 0
-    committed = [0] * K
-    for t in partial:
-        claimed |= 1 << t
-        committed[diag[t]] += 1
-    free = owed & ~claimed
-    seats = free & allowed & ~seen
-    compat = ring.compat
-    if not seats & lead and (
-        doomed or all(lead & ~compat[cell] for cell in _bits(seats))
-    ):
+    seats = fits & ~seen
+    if not seats & walk:
         if seats:
             choices.append(seats.bit_count())
+    elif not seats & seats - 1:
+        choices.append((seats.bit_length() - 1, 0))
     else:
+        diag, dmajor = ring.diag, ring.dmajor
+        free = owed_dm
+        committed = [0] * K
+        for t in partial:
+            free &= ~(1 << dmajor[t])
+            committed[diag[t]] += 1
         rescue: list[tuple[float, int, int]] = []
         for cell in _bits(seats):
             d = diag[cell]
             need = owed_on[d] / (1 + committed[d])
-            fit = abs(_run_ahead(cell, free, adv, K) - steps_left)
+            fit = abs(_free_run(free, dmajor[cell], K) - steps_left)
             rescue.append((-need, fit, cell))
         rescue.sort()
         choices.extend((cell, 0) for _, _, cell in rescue)
@@ -437,18 +440,15 @@ def _replacement_choices(
     return choices
 
 
-def _diagonals_feasible(
-    left_on: Sequence[int], steps: int, team: Sequence[int]
-) -> bool:
-    """Necessary condition for finishing the owed cells in ``steps``.
+def _overfull(left_on: Sequence[int], steps: int, ring: _Ring) -> list[int]:
+    """The owed diagonals whose cells left do not fit in ``steps``
+    transmissions; finishing needs there to be none.
 
     ``left_on[d]`` counts the cells left on diagonal d; one transmission
     ships at most ``team[d]`` of them (see :class:`_Ring`).
     """
-    for count, size in zip(left_on, team):
-        if count > size * steps:
-            return False
-    return True
+    team = ring.team
+    return [d for d in ring.owed_diagonals if left_on[d] > team[d] * steps]
 
 
 def _checked_tail(ring: _Ring, owed: int, arity: int) -> list[int] | None:
@@ -818,8 +818,8 @@ def _tile_leftover(
     if not offsets:
         return ([], "") if n_cliques == 0 else None
     counts = [K if d in offsets else 0 for d in range(K)]
-    if len(offsets) * K > arity * n_cliques or not _diagonals_feasible(
-        counts, n_cliques, ring.team
+    if len(offsets) * K > arity * n_cliques or _overfull(
+        counts, n_cliques, ring
     ):
         return None
     built = _spaced_run_cover(offsets, n_cliques, arity, ring)
@@ -986,11 +986,12 @@ def _solve_schedule(
     instantaneously decodable by construction.
 
     Work whose outcome is already known is counted, not done.  A decision
-    whose state (owed cells, commit count, queue, partial codeword, flag,
-    position) was searched to exhaustion before costs the decisions spent
-    on it then, and an option whose walk fails on the next owed cells of
-    the queue costs one decision without being walked.  The decision count,
-    the budget and the schedule found are those of the plain search.
+    whose state (owed cells, commit count, the queue left, partial codeword,
+    flag) was searched to exhaustion before costs the decisions spent on it
+    then.  An option whose walk fails on the next owed cells of the queue,
+    or on the counting bounds of the commit right after them, costs one
+    decision without being walked.  The decision count, the budget and the
+    schedule found are those of the plain search.
 
     Returns None when the search space is exhausted or ``node_budget``
     replacement decisions were spent without completing a schedule.
@@ -998,13 +999,15 @@ def _solve_schedule(
     K = params.n_users
     arity, budget = consts.arity, consts.n_transmissions
     ring = _Ring(layout)
-    compat, adv, diag = ring.compat, ring.adv, ring.diag
+    compat, adv, diag, dmajor = ring.compat, ring.adv, ring.diag, ring.dmajor
     owed = 0
     for term in demand_cells:
         owed |= 1 << ring.cell(term)
     owed_on = [0] * K
+    owed_dm = 0
     for cell in _bits(owed):
         owed_on[diag[cell]] += 1
+        owed_dm |= 1 << dmajor[cell]
     codewords: list[list[int]] = []
     queue = tuple(ring.cell(term) for term in seed)
     # The codeword under construction and the cells compatible with all
@@ -1013,67 +1016,58 @@ def _solve_schedule(
     allowed = _ANY_CELL
     flag = 0
     pos = 0
-    # Open replacement decisions: (key, decisions spent before it, allowed
-    # and owed_on before it, lead, doomed, untried options newest last).
-    # The key is (owed, commit count, queue, partial, flag, pos), which
-    # fixes all of the search below the decision, so backtracking restores
-    # the search state from the key and the record.
-    decisions: list[tuple[tuple, int, int, list[int], int, bool, list]] = []
+    # Open replacement decisions: (key, decisions spent before it, allowed,
+    # owed_on and owed_dm before it, walk, doomed, untried options newest
+    # last).  The key is (owed, commit count, the queue from the served
+    # term on, partial, flag), which fixes all of the search below the
+    # decision, so backtracking restores the search state from the key and
+    # the record.
+    decisions: list[
+        tuple[tuple, int, int, list[int], int, int, bool, list]
+    ] = []
     # Decisions spent below each decision searched to exhaustion, by key.
     # Backtracking inside a decision restores only records made inside it,
-    # and a key never recurs on its own path (pos grows within a codeword,
-    # the commit count across codewords), so a recurring key would spend
-    # exactly as much again and find nothing.
+    # and a key never recurs on its own path (the queue left shrinks within
+    # a codeword, the commit count grows across codewords), so a recurring
+    # key would spend exactly as much again and find nothing.
     dead: dict[tuple, int] = {}
     nodes = 0
-
-    def backtrack() -> bool:
-        """Resume at the next option worth walking; False when none is left.
-
-        Stops early, returning True, once the budget is spent: the caller's
-        next check then gives up.  An option seating ``term`` outside
-        ``lead`` appends the lead cells next, so when ``doomed`` or a lead
-        cell conflicts with ``term`` its walk fails before any decision or
-        commit: it costs one decision and is not walked.  An int among the
-        options stands for that many such rescue seats.
-        """
-        nonlocal owed, owed_on, queue, partial, allowed, flag, pos, nodes
-        while decisions:
-            if nodes > node_budget:
-                return True
-            key, start, part_allowed, part_owed_on, lead, doomed, options = (
-                decisions[-1]
-            )
-            if not options:
-                decisions.pop()
-                dead[key] = nodes - start
-                continue
-            option = options.pop()
-            if option.__class__ is int:
-                nodes += option
-                continue
-            nodes += 1
-            term, next_flag = option
-            if (
-                term is not None
-                and not lead >> term & 1
-                and (doomed or lead & ~compat[term])
-            ):
-                continue
-            owed, n_committed, queue, part, _, px = key
-            owed_on = part_owed_on
-            del codewords[n_committed:]
-            partial = list(part)
-            allowed = part_allowed
-            flag = next_flag
-            if term is not None:
-                partial.append(term)
-                allowed &= compat[term]
-            pos = px + 1
-            return True
-        return False
+    # Set when the walk fails: the search resumes at the next option worth
+    # walking, or stops once the budget is spent.  Seating a term outside
+    # walk, or abandoning it when doomed, fails before the next decision:
+    # it costs one decision and is not walked.  An int option stands for
+    # that many such rescue seats.
+    stuck = False
 
     while True:
+        while stuck and nodes <= node_budget:
+            if not decisions:
+                return None
+            key, start, allowed, owed_on, owed_dm, walk, doomed, options = (
+                decisions[-1]
+            )
+            while options and nodes <= node_budget:
+                option = options.pop()
+                if option.__class__ is int:
+                    nodes += option
+                    continue
+                nodes += 1
+                term, flag = option
+                if doomed if term is None else not walk >> term & 1:
+                    continue
+                owed, n_committed, queue, part, _ = key
+                del codewords[n_committed:]
+                partial = list(part)
+                if term is not None:
+                    partial.append(term)
+                    allowed &= compat[term]
+                pos = 1
+                stuck = False
+                break
+            else:
+                if not options:
+                    decisions.pop()
+                    dead[key] = nodes - start
         if nodes > node_budget:
             # The plain search stops at the first decision past the budget.
             log.debug(
@@ -1085,9 +1079,8 @@ def _solve_schedule(
             return None
         if pos == len(queue):
             if not partial:
-                if backtrack():
-                    continue
-                return None
+                stuck = True
+                continue
             done = len(codewords) + 1
             steps = budget - done
             left = owed.bit_count() - len(partial)
@@ -1097,14 +1090,12 @@ def _solve_schedule(
             left_on = list(owed_on)
             for cell in partial:
                 left_on[diag[cell]] -= 1
-            if left > cap * steps or not _diagonals_feasible(
-                left_on, steps, ring.team
-            ):
-                if backtrack():
-                    continue
-                return None
+            if left > cap * steps or _overfull(left_on, steps, ring):
+                stuck = True
+                continue
             for cell in partial:
                 owed ^= 1 << cell
+                owed_dm ^= 1 << dmajor[cell]
             owed_on = left_on
             codewords.append(partial)
             if not owed:
@@ -1131,9 +1122,8 @@ def _solve_schedule(
                 allowed &= compat[cand]
                 pos += 1
                 continue
-            if backtrack():
-                continue
-            return None
+            stuck = True
+            continue
         if not partial and owed.bit_count() == K:
             tail = _checked_tail(ring, owed, arity)
             if tail is not None:
@@ -1142,13 +1132,12 @@ def _solve_schedule(
                     allowed &= compat[cell]
                 pos += 1
                 continue
-        key = (owed, len(codewords), queue, tuple(partial), flag, pos)
+        key = (owed, len(codewords), queue[pos:], tuple(partial), flag)
         spent = dead.get(key)
         if spent is not None:
             nodes += spent
-            if nodes > node_budget or backtrack():
-                continue
-            return None
+            stuck = True
+            continue
         # lead: the owed cells an option appends next, up to the first
         # cell not owed, the end of the queue or the arity cap; doomed:
         # they conflict with each other or with the partial codeword.
@@ -1156,34 +1145,64 @@ def _solve_schedule(
         doomed = False
         fit = allowed
         room = arity - len(partial) - 1
+        commits = True
         for cell in queue[pos + 1 :]:
             if not room:
                 break
             if cell in partial:
                 continue
             if not owed >> cell & 1:
+                commits = False
                 break
             lead |= 1 << cell
             doomed = doomed or not fit >> cell & 1
             fit &= compat[cell]
             room -= 1
+        # walk: the seats not known to fail before the next decision: those
+        # inside the lead, and unless doomed, those fitting every lead cell.
+        # When the lead ends the queue or fills the codeword, the commit
+        # comes next, and a seat changes its bounds only by its diagonal.
+        walk = lead
+        if not doomed:
+            walk |= fit
+        if commits and walk != lead:
+            size = len(partial) + 1 + lead.bit_count()
+            steps = budget - len(codewords) - 1
+            left = owed.bit_count() - size
+            cap = arity if left >= K else min(arity, size)
+            left_on = list(owed_on)
+            for cell in partial:
+                left_on[diag[cell]] -= 1
+            for cell in _bits(lead):
+                left_on[diag[cell]] -= 1
+            over = _overfull(left_on, steps, ring)
+            if left > cap * steps or len(over) > 1:
+                walk = lead
+            elif over:
+                # Only a seat on the one diagonal over can pass, and only
+                # when that diagonal is over by one.
+                d = over[0]
+                line = 0
+                if left_on[d] == ring.team[d] * steps + 1:
+                    line = sum(1 << ring.on_diagonal(u, d) for u in range(K))
+                walk = lead | fit & line
         options = _replacement_choices(
             cand,
             flag,
             ring,
             owed,
+            owed_dm,
             owed_on,
             partial,
             allowed,
             budget - len(codewords),
-            lead,
-            doomed,
+            walk,
         )
         options.reverse()
-        decisions.append((key, nodes, allowed, owed_on, lead, doomed, options))
-        if backtrack():
-            continue
-        return None
+        decisions.append(
+            (key, nodes, allowed, owed_on, owed_dm, walk, doomed, options)
+        )
+        stuck = True
 
 
 def generate_schedule(

@@ -3,6 +3,7 @@ codeword, the tail step, replacement rules, schedule generation, the orbit
 fallbacks, and the pairwise closed form."""
 
 import dataclasses
+import functools
 import itertools
 import logging
 import math
@@ -21,18 +22,16 @@ from hypothesis import strategies as st
 from cachecode import delivery
 from cachecode.delivery import (
     _ANY_CELL,
-    _PARTNER,
     _SWEEP_NODE_BUDGET,
     Codeword,
     SchemeConstants,
     _bits,
     _block_orbit,
     _checked_tail,
-    _diagonals_feasible,
+    _free_run,
     _replacement_choices,
     _Ring,
-    _rule_cell,
-    _run_ahead,
+    _rule_cells,
     _solve_schedule,
     _spaced_run_cover,
     _tile_leftover,
@@ -257,8 +256,9 @@ class TestTailStep:
 
 
 def moved(term: SubpacketId, flag: int, K: int) -> SubpacketId:
-    """``_rule_cell`` applied to a sub-packet id."""
-    u, p = divmod(_rule_cell((term.user - 1) * K + term.packet - 1, flag, K), K)
+    """Rule ``flag`` of ``_rule_cells`` applied to a sub-packet id."""
+    cell = (term.user - 1) * K + term.packet - 1
+    u, p = divmod(_rule_cells(cell, K)[flag - 1], K)
     return SubpacketId(u + 1, p + 1)
 
 
@@ -290,10 +290,16 @@ class TestReplacementChoices:
         owed_on = [0] * 6
         for c in cells:
             owed_on[ring.diag[c]] += 1
+        # The seats the sweep walks: those in the lead and, unless it is
+        # doomed, those compatible with every lead cell.
+        fit = _ANY_CELL
+        for t in lead:
+            fit &= ring.compat[ring.cell(t)]
+        walk = sum(1 << ring.cell(t) for t in lead) | (0 if doomed else fit)
         options = _replacement_choices(
             ring.cell(dead), flag, ring, sum(1 << c for c in cells),
-            owed_on, [], _ANY_CELL, 3,
-            sum(1 << ring.cell(t) for t in lead), doomed,
+            sum(1 << ring.dmajor[c] for c in cells), owed_on, [], _ANY_CELL, 3,
+            walk,
         )
         return [
             option if isinstance(option, int)
@@ -498,6 +504,7 @@ class TestIntegerCells:
             assert ring.cell(SubpacketId(u, p)) == c
             assert terms[ring.adv[c]] == (u % K + 1, p % K + 1)
             assert ring.diag[c] == (p - u) % K
+            assert ring.dmajor[c] == ring.diag[c] * K + u - 1
 
 
 class TestSweepNodeBudget:
@@ -532,6 +539,41 @@ class TestSweepNodeBudget:
 log = logging.getLogger("cachecode.delivery")
 
 
+def reference_run_ahead(
+    cell: int, free: int, adv: Sequence[int], n_users: int
+) -> int:
+    """Transmissions a term seated at ``cell`` survives before colliding.
+
+    ``free`` holds the cells still owed and not in the codeword under
+    construction.
+    """
+    run = 0
+    cur = cell
+    while run < n_users and free >> cur & 1:
+        run += 1
+        cur = adv[cur]
+    return run
+
+
+_PARTNER = {1: 2, 2: 1, 3: 4, 4: 3}
+
+
+def reference_rule_cell(cell: int, flag: int, n_users: int) -> int:
+    """One of the four replacement moves for an already-served term.
+
+    1: bump the packet, 2: bump the user, 3: drop the user, 4: drop the
+    packet -- all cyclically.
+    """
+    u, p = divmod(cell, n_users)
+    if flag == 1:
+        return u * n_users + (p + 1) % n_users
+    if flag == 2:
+        return (u + 1) % n_users * n_users + p
+    if flag == 3:
+        return (u - 1) % n_users * n_users + p
+    return u * n_users + (p - 1) % n_users
+
+
 def reference_replacement_choices(
     dead: int,
     flag: int,
@@ -544,10 +586,10 @@ def reference_replacement_choices(
 ) -> list[tuple[int | None, int]]:
     """Ordered placement options for a term whose advance was already served.
 
-    The four local rules of :func:`_rule_cell` come first, each only if
-    the cell it lands on is owed and fits the codeword.  Once a rule has
-    fired, later replacements in the same codeword try its partner rule
-    first (1 and 2 pair up, as do 3 and 4).  When the rules dead-end
+    The four local rules of :func:`reference_rule_cell` come first, each
+    only if the cell it lands on is owed and fits the codeword.  Once a
+    rule has fired, later replacements in the same codeword try its partner
+    rule first (1 and 2 pair up, as do 3 and 4).  When the rules dead-end
     the term may re-seat on any still-owed sub-packet compatible with the
     codeword built so far; rescues prefer diagonals holding the most owed
     cells per committed term, then seats whose unobstructed run matches the
@@ -567,7 +609,7 @@ def reference_replacement_choices(
         order = (first,) + tuple(k for k in (1, 2, 3, 4) if k != first)
     fits = owed & allowed
     for k in order:
-        cand = _rule_cell(dead, k, K)
+        cand = reference_rule_cell(dead, k, K)
         if fits >> cand & 1 and not seen >> cand & 1:
             choices.append((cand, k))
             seen |= 1 << cand
@@ -582,12 +624,26 @@ def reference_replacement_choices(
     for cell in _bits(free & allowed & ~seen):
         d = diag[cell]
         need = owed_on[d] / (1 + committed[d])
-        fit = abs(_run_ahead(cell, free, adv, K) - steps_left)
+        fit = abs(reference_run_ahead(cell, free, adv, K) - steps_left)
         rescue.append((-need, fit, cell))
     rescue.sort()
     choices.extend((cell, 0) for _, _, cell in rescue)
     choices.append((None, flag))
     return choices
+
+
+def reference_diagonals_feasible(
+    left_on: Sequence[int], steps: int, team: Sequence[int]
+) -> bool:
+    """Necessary condition for finishing the owed cells in ``steps``.
+
+    ``left_on[d]`` counts the cells left on diagonal d; one transmission
+    ships at most ``team[d]`` of them (see :class:`_Ring`).
+    """
+    for count, size in zip(left_on, team):
+        if count > size * steps:
+            return False
+    return True
 
 
 def reference_solve_schedule(
@@ -691,7 +747,8 @@ def reference_solve_schedule(
             for cell in partial:
                 left_on[diag[cell]] -= 1
             if left > cap * steps or (
-                left and not _diagonals_feasible(left_on, steps, ring.team)
+                left
+                and not reference_diagonals_feasible(left_on, steps, ring.team)
             ):
                 if backtrack():
                     continue
@@ -824,8 +881,66 @@ class TestSweepMatchesReference:
         )
         assert codewords is None
         assert messages == ["sweep for K=13, i=10 gave up after 20001 decisions"]
-        # The plain search expands 6157 decisions here.
-        assert len(calls) == 2029
+        # The plain search expands 6157 decisions here.  Known outcomes are
+        # keyed on the queue left, not on the whole queue and the position,
+        # so states that differ only in the queue already walked share one.
+        assert len(calls) == 1711
+
+    def test_seats_closing_a_failing_commit_are_counted(
+        self, caplog, monkeypatch
+    ):
+        # K=6, i=4 sends 3 codewords of 4 terms.  Seeded with the served
+        # (1,4) and the owed (1,5), the first decision's lead is (1,5) and
+        # ends the queue, so any seat outside it commits 2 terms and leaves
+        # 10 owed cells for 2 codewords.  That rule 3's (6,4) and the ten
+        # rescues fail so is known without walking them: the rescues are
+        # one count, between the walked rule-1 seat (1,5) and abandoning.
+        ring = _Ring(build_cache_layout(instance(6, 4)))
+        seed = [SubpacketId(1, 4), SubpacketId(1, 5)]
+        options = []
+        real = delivery._replacement_choices
+
+        def spy(*args):
+            choices = real(*args)
+            options.append(list(choices))
+            return choices
+
+        monkeypatch.setattr(delivery, "_replacement_choices", spy)
+        for budget in range(15):
+            assert sweep_outcome(
+                _solve_schedule, 6, 4, budget, caplog, seed
+            ) == sweep_outcome(
+                reference_solve_schedule, 6, 4, budget, caplog, seed
+            ), budget
+        assert options[0] == [
+            (ring.cell(SubpacketId(1, 5)), 1),
+            (ring.cell(SubpacketId(6, 4)), 3),
+            10,
+            (None, 0),
+        ]
+
+
+@functools.lru_cache(maxsize=None)
+def bare_ring(K: int) -> _Ring:
+    return _Ring(build_cache_layout(instance(K, K - 1)))
+
+
+class TestFreeRun:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_free_run_is_the_walked_run(self, data):
+        # Every cell owed, or none claimed, gives long runs and full ones.
+        K = data.draw(st.integers(3, 40))
+        ring = bare_ring(K)
+        masks = st.integers(0, (1 << K * K) - 1)
+        owed = data.draw(st.just((1 << K * K) - 1) | masks)
+        claimed = data.draw(st.just(0) | masks)
+        cell = data.draw(st.integers(0, K * K - 1))
+        free = owed & ~claimed
+        free_dm = sum(1 << ring.dmajor[c] for c in _bits(free))
+        assert _free_run(free_dm, ring.dmajor[cell], K) == reference_run_ahead(
+            cell, free, ring.adv, K
+        )
 
 
 class TestSpacing:

@@ -143,9 +143,9 @@ def test_fallback_instances_past_k24_are_pinned(instances, digest):
 
 def test_k40_leaves_out_only_the_unbounded_instances():
     K40 = digest_script.K40
-    assert len(K40) == 771 == len(set(K40))
+    assert len(K40) == 772 == len(set(K40))
     assert digest_script.GRID24 == K40[: len(digest_script.GRID24)]
-    assert len(digest_script.K40_UNBOUNDED) == 9
+    assert len(digest_script.K40_UNBOUNDED) == 8
     assert set(K40) | digest_script.K40_UNBOUNDED == {
         (K, i) for K in range(2, 41) for i in range(1, K)
     }
