@@ -22,9 +22,10 @@ the replacement placements, pruned by exact counting bounds, drives the
 transmission count to ceil(K*(K-i)/arity), which beats splitting files
 into binom(K, i) pieces at a rate cost that vanishes for large caches.
 The search skips work whose outcome it already knows -- states it has
-searched to exhaustion, and placements that fail on the very next owed
-cells or on the commit right after them -- but still counts it, so its
-decision budget and its schedules are those of the plain search.
+searched to exhaustion, placements that fail on the very next owed cells
+or on the commit right after them, and decisions where all of them do --
+but still counts it, so its decision budget and its schedules are those of
+the plain search.
 
 A few tightly budgeted instances admit no schedule under the sweeping
 discipline (a kept term can wall off every compatible re-seat).  Those fall
@@ -449,6 +450,14 @@ def _overfull(left_on: Sequence[int], steps: int, ring: _Ring) -> list[int]:
     """
     team = ring.team
     return [d for d in ring.owed_diagonals if left_on[d] > team[d] * steps]
+
+
+def _short(left: int, size: int, steps: int, arity: int, n_users: int) -> bool:
+    """Whether ``left`` owed cells overflow ``steps`` transmissions after
+    a commit of ``size`` terms.  Without the tail step (possible only while
+    K cells are owed) the term count never grows."""
+    cap = arity if left >= n_users else min(arity, size)
+    return left > cap * steps
 
 
 def _checked_tail(ring: _Ring, owed: int, arity: int) -> list[int] | None:
@@ -975,6 +984,8 @@ def _solve_schedule(
     seed: Sequence[SubpacketId],
     demand_cells: Sequence[SubpacketId],
     node_budget: int = _SWEEP_NODE_BUDGET,
+    *,
+    _ring: _Ring | None = None,
 ) -> list[Codeword] | None:
     """Depth-first construction of an exact-length schedule by sweeping.
 
@@ -990,15 +1001,18 @@ def _solve_schedule(
     flag) was searched to exhaustion before costs the decisions spent on it
     then.  An option whose walk fails on the next owed cells of the queue,
     or on the counting bounds of the commit right after them, costs one
-    decision without being walked.  The decision count, the budget and the
-    schedule found are those of the plain search.
+    decision without being walked; seating on one of those cells and
+    abandoning reach the same cells and share one check.  A decision with
+    no option to walk costs all of its options at once, unranked.  The
+    decision count, the budget and the schedule found are those of the
+    plain search.
 
     Returns None when the search space is exhausted or ``node_budget``
     replacement decisions were spent without completing a schedule.
     """
     K = params.n_users
     arity, budget = consts.arity, consts.n_transmissions
-    ring = _Ring(layout)
+    ring = _Ring(layout) if _ring is None else _ring
     compat, adv, diag, dmajor = ring.compat, ring.adv, ring.diag, ring.dmajor
     owed = 0
     for term in demand_cells:
@@ -1017,7 +1031,7 @@ def _solve_schedule(
     flag = 0
     pos = 0
     # Open replacement decisions: (key, decisions spent before it, allowed,
-    # owed_on and owed_dm before it, walk, doomed, untried options newest
+    # owed_on and owed_dm before it, walk, lost, untried options newest
     # last).  The key is (owed, commit count, the queue from the served
     # term on, partial, flag), which fixes all of the search below the
     # decision, so backtracking restores the search state from the key and
@@ -1034,16 +1048,16 @@ def _solve_schedule(
     nodes = 0
     # Set when the walk fails: the search resumes at the next option worth
     # walking, or stops once the budget is spent.  Seating a term outside
-    # walk, or abandoning it when doomed, fails before the next decision:
-    # it costs one decision and is not walked.  An int option stands for
-    # that many such rescue seats.
+    # walk, or abandoning it when lost, fails before the next decision: it
+    # costs one decision and is not walked.  An int option stands for that
+    # many such rescue seats.
     stuck = False
 
     while True:
         while stuck and nodes <= node_budget:
             if not decisions:
                 return None
-            key, start, allowed, owed_on, owed_dm, walk, doomed, options = (
+            key, start, allowed, owed_on, owed_dm, walk, lost, options = (
                 decisions[-1]
             )
             while options and nodes <= node_budget:
@@ -1053,7 +1067,7 @@ def _solve_schedule(
                     continue
                 nodes += 1
                 term, flag = option
-                if doomed if term is None else not walk >> term & 1:
+                if lost if term is None else not walk >> term & 1:
                     continue
                 owed, n_committed, queue, part, _ = key
                 del codewords[n_committed:]
@@ -1081,16 +1095,14 @@ def _solve_schedule(
             if not partial:
                 stuck = True
                 continue
-            done = len(codewords) + 1
-            steps = budget - done
+            steps = budget - len(codewords) - 1
             left = owed.bit_count() - len(partial)
-            # Without the tail construction (possible only while at least
-            # K cells are owed) the term count can never grow again.
-            cap = arity if left >= K else min(arity, len(partial))
             left_on = list(owed_on)
             for cell in partial:
                 left_on[diag[cell]] -= 1
-            if left > cap * steps or _overfull(left_on, steps, ring):
+            if _short(left, len(partial), steps, arity, K) or _overfull(
+                left_on, steps, ring
+            ):
                 stuck = True
                 continue
             for cell in partial:
@@ -1138,19 +1150,22 @@ def _solve_schedule(
             nodes += spent
             stuck = True
             continue
-        # lead: the owed cells an option appends next, up to the first
-        # cell not owed, the end of the queue or the arity cap; doomed:
-        # they conflict with each other or with the partial codeword.
+        # lead: the owed cells a seat outside it appends next, up to the
+        # first cell not owed, the end of the queue or the arity cap, and
+        # ext the first cell past that cap; doomed: the lead conflicts with
+        # itself or with the partial codeword.
         lead = 0
         doomed = False
         fit = allowed
         room = arity - len(partial) - 1
         commits = True
+        ext = -1
         for cell in queue[pos + 1 :]:
-            if not room:
-                break
             if cell in partial:
                 continue
+            if not room:
+                ext = cell
+                break
             if not owed >> cell & 1:
                 commits = False
                 break
@@ -1158,34 +1173,55 @@ def _solve_schedule(
             doomed = doomed or not fit >> cell & 1
             fit &= compat[cell]
             room -= 1
-        # walk: the seats not known to fail before the next decision: those
-        # inside the lead, and unless doomed, those fitting every lead cell.
-        # When the lead ends the queue or fills the codeword, the commit
-        # comes next, and a seat changes its bounds only by its diagonal.
-        walk = lead
-        if not doomed:
-            walk |= fit
-        if commits and walk != lead:
-            size = len(partial) + 1 + lead.bit_count()
+        # A seat on a lead cell and abandoning reach the same cells: the
+        # lead, then ext if owed.  lost: they fail before the next
+        # decision; ends: a commit follows those cells.
+        ends = commits
+        if ext >= 0:
+            ends = owed >> ext & 1
+        lost = doomed or ext >= 0 and ends and not fit >> ext & 1
+        # walk: the seats not known to fail before the next decision: the
+        # lead unless lost, and unless doomed, those fitting every lead
+        # cell.  When a commit comes next, a seat changes its bounds only
+        # by its diagonal.
+        walk = 0 if doomed else fit
+        if commits and (walk or ends and not lost):
+            size = len(partial) + lead.bit_count()
             steps = budget - len(codewords) - 1
-            left = owed.bit_count() - size
-            cap = arity if left >= K else min(arity, size)
+            n_owed = owed.bit_count()
             left_on = list(owed_on)
             for cell in partial:
                 left_on[diag[cell]] -= 1
             for cell in _bits(lead):
                 left_on[diag[cell]] -= 1
             over = _overfull(left_on, steps, ring)
-            if left > cap * steps or len(over) > 1:
-                walk = lead
-            elif over:
-                # Only a seat on the one diagonal over can pass, and only
-                # when that diagonal is over by one.
+            # line: the cells one more term can pass on: any, or only the
+            # one diagonal over when it is over by one.
+            line = 0 if over else _ANY_CELL
+            if len(over) == 1:
                 d = over[0]
-                line = 0
                 if left_on[d] == ring.team[d] * steps + 1:
                     line = sum(1 << ring.on_diagonal(u, d) for u in range(K))
-                walk = lead | fit & line
+            short = _short(n_owed - size - 1, size + 1, steps, arity, K)
+            walk &= 0 if short else line
+            if ends and ext >= 0:
+                lost = lost or short or not line >> ext & 1
+            elif ends:
+                lost = (
+                    lost or not size or line != _ANY_CELL
+                    or _short(n_owed - size, size, steps, arity, K)
+                )
+        if not lost:
+            walk |= lead
+        fits = owed & allowed
+        if lost and not fits & walk:
+            # Nothing to walk: the decision costs its rule seats and
+            # rescues, which are the owed cells that fit, and abandoning.
+            spent = fits.bit_count() + 1
+            nodes += spent
+            dead[key] = spent
+            stuck = True
+            continue
         options = _replacement_choices(
             cand,
             flag,
@@ -1200,7 +1236,7 @@ def _solve_schedule(
         )
         options.reverse()
         decisions.append(
-            (key, nodes, allowed, owed_on, owed_dm, walk, doomed, options)
+            (key, nodes, allowed, owed_on, owed_dm, walk, lost, options)
         )
         stuck = True
 
@@ -1236,15 +1272,16 @@ def generate_schedule(
         return closed_form_pairs(params, demands)
     consts = scheme_constants(params)
     layout = build_cache_layout(params)
+    ring = _Ring(layout)
     codewords = _solve_schedule(
         params,
         layout,
         consts,
         initial_codeword_terms(params),
         build_demand_list(params),
+        _ring=ring,
     )
     if codewords is None:
-        ring = _Ring(layout)
         orbit = _orbit_schedule(ring, consts)
         if orbit is not None:
             codewords = [ring.codeword(cw) for cw in orbit]

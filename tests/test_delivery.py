@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Collection, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cachecode import delivery
@@ -868,14 +868,7 @@ class TestSweepMatchesReference:
                 ), (K, i, seed, budget)
 
     def test_known_outcomes_are_not_expanded_again(self, caplog, monkeypatch):
-        calls = []
-        real = delivery._replacement_choices
-
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(delivery, "_replacement_choices", spy)
+        calls = spy_on_choices(monkeypatch)
         codewords, messages = sweep_outcome(
             _solve_schedule, 13, 10, _SWEEP_NODE_BUDGET, caplog
         )
@@ -883,41 +876,131 @@ class TestSweepMatchesReference:
         assert messages == ["sweep for K=13, i=10 gave up after 20001 decisions"]
         # The plain search expands 6157 decisions here.  Known outcomes are
         # keyed on the queue left, not on the whole queue and the position,
-        # so states that differ only in the queue already walked share one.
-        assert len(calls) == 1711
+        # so states that differ only in the queue already walked share one;
+        # and a decision that walks no option is counted without ranking
+        # its options.
+        assert len(calls) == 671
 
     def test_seats_closing_a_failing_commit_are_counted(
         self, caplog, monkeypatch
     ):
         # K=6, i=4 sends 3 codewords of 4 terms.  Seeded with the served
         # (1,4) and the owed (1,5), the first decision's lead is (1,5) and
-        # ends the queue, so any seat outside it commits 2 terms and leaves
-        # 10 owed cells for 2 codewords.  That rule 3's (6,4) and the ten
-        # rescues fail so is known without walking them: the rescues are
-        # one count, between the walked rule-1 seat (1,5) and abandoning.
-        ring = _Ring(build_cache_layout(instance(6, 4)))
+        # ends the queue.  Seating the term on it (rule 1) or abandoning
+        # the term commits (1,5) alone, and any other seat commits 2 terms:
+        # each leaves more than 8 owed cells for 2 codewords.  So no option
+        # is walked, and the decision -- its 12 owed seats, then abandoning
+        # -- is counted whole without ranking its options.
         seed = [SubpacketId(1, 4), SubpacketId(1, 5)]
-        options = []
-        real = delivery._replacement_choices
-
-        def spy(*args):
-            choices = real(*args)
-            options.append(list(choices))
-            return choices
-
-        monkeypatch.setattr(delivery, "_replacement_choices", spy)
+        calls = spy_on_choices(monkeypatch)
         for budget in range(15):
             assert sweep_outcome(
                 _solve_schedule, 6, 4, budget, caplog, seed
             ) == sweep_outcome(
                 reference_solve_schedule, 6, 4, budget, caplog, seed
             ), budget
-        assert options[0] == [
-            (ring.cell(SubpacketId(1, 5)), 1),
-            (ring.cell(SubpacketId(6, 4)), 3),
-            10,
-            (None, 0),
-        ]
+        assert not calls
+        assert sweep_outcome(_solve_schedule, 6, 4, 12, caplog, seed) == (
+            None, ["sweep for K=6, i=4 gave up after 13 decisions"]
+        )
+        assert sweep_outcome(_solve_schedule, 6, 4, 13, caplog, seed) == (
+            None, []
+        )
+
+    @pytest.mark.parametrize(
+        "seed,lead,walked",
+        [
+            # The lead (5,3) ends the queue: seating on it or abandoning
+            # commits 3 terms and leaves 9 owed cells for 2 codewords of 4,
+            # while the seat (2,6) commits 4.
+            ([(6, 5), (3, 2), (4, 6), (5, 3)], [(5, 3)], [(2, 6)]),
+            # The lead (4,2), (2,1) stops at the arity cap: seating on it or
+            # abandoning also appends ext, (3,1), which conflicts with it,
+            # while the seat (1,5) fills the codeword before ext.
+            ([(5, 4), (6, 1), (4, 2), (2, 1), (3, 1)], [(4, 2), (2, 1)],
+             [(1, 5)]),
+        ],
+    )
+    def test_lead_seats_and_abandoning_fail_together(
+        self, seed, lead, walked, caplog, monkeypatch
+    ):
+        ring = _Ring(build_cache_layout(instance(6, 4)))
+        seed = [SubpacketId(u, p) for u, p in seed]
+        calls = spy_on_choices(monkeypatch)
+        assert_matches_reference_until_it_ends(6, 4, seed, caplog)
+        first = calls[0]
+        fits, walk = first[3] & first[7], first[9]
+        assert all(fits >> ring.cell(SubpacketId(*t)) & 1 for t in lead)
+        assert ring.codeword(_bits(fits & walk)) == tuple(
+            SubpacketId(*t) for t in walked
+        )
+
+    def test_a_decision_that_walks_nothing_is_not_ranked(
+        self, caplog, monkeypatch
+    ):
+        # The lead (3,2) conflicts with the partial codeword (2,1), so every
+        # seat and abandoning fail on it: the first decision costs its 7
+        # owed seats that fit and abandoning, and nothing ranks them.
+        seed = [SubpacketId(2, 1), SubpacketId(5, 6), SubpacketId(3, 2)]
+        calls = spy_on_choices(monkeypatch)
+        assert_matches_reference_until_it_ends(6, 4, seed, caplog)
+        assert not calls
+        assert sweep_outcome(_solve_schedule, 6, 4, 7, caplog, seed) == (
+            None, ["sweep for K=6, i=4 gave up after 8 decisions"]
+        )
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_random_seeds_and_budgets(self, caplog, data):
+        # Seeds of served and owed cells, longer or shorter than the arity.
+        K = data.draw(st.integers(5, 14))
+        i = data.draw(st.integers(K // 2 + 1, K - 1))
+        arity = scheme_constants(instance(K, i)).arity
+        cells = st.builds(
+            SubpacketId, st.integers(1, K), st.integers(1, K)
+        )
+        seed = data.draw(
+            st.lists(cells, min_size=1, max_size=arity + 2, unique=True)
+        )
+        budget = data.draw(st.integers(0, 3000))
+        assert sweep_outcome(
+            _solve_schedule, K, i, budget, caplog, seed
+        ) == sweep_outcome(reference_solve_schedule, K, i, budget, caplog, seed)
+
+
+real_choices = delivery._replacement_choices
+
+
+def spy_on_choices(monkeypatch) -> list[tuple]:
+    """Record the arguments of every ``_replacement_choices`` call."""
+    calls: list[tuple] = []
+
+    def spy(*args):
+        calls.append(args)
+        return real_choices(*args)
+
+    monkeypatch.setattr(delivery, "_replacement_choices", spy)
+    return calls
+
+
+def assert_matches_reference_until_it_ends(K, i, seed, caplog):
+    """Both sweeps agree at every budget from 0 until the plain one stops
+    giving up."""
+    budget = 0
+    while True:
+        reference = sweep_outcome(
+            reference_solve_schedule, K, i, budget, caplog, seed
+        )
+        assert sweep_outcome(
+            _solve_schedule, K, i, budget, caplog, seed
+        ) == reference, budget
+        if not any("gave up" in m for m in reference[1]):
+            return
+        budget += 1
 
 
 @functools.lru_cache(maxsize=None)
