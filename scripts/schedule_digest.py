@@ -23,7 +23,7 @@ the arity-2 ones come from the pairwise closed form and add none.
 ``58b3af06d9cd8ae179149ce22ef88ca296b8771ed7df421d8a3c4cafc1093d66`` and
 ``--k40 --decisions`` prints
 ``65f9158f71b376cd7bbf68b5241e91ed320456102fab793dedcbf8477e8f1c91``.  Each
-takes about 35 s (2-vCPU Intel Xeon VM, Python 3.11.7), so the test suite
+takes about 30 s (2-vCPU Intel Xeon VM, Python 3.11.7), so the test suite
 pins only the K <= 24 digests and checks the ``--k40`` instance list.  Run it
 with the package importable: installed, or with ``PYTHONPATH=src`` from the
 repository root.

@@ -43,13 +43,13 @@ Every construction bounds how densely a codeword can sample a diagonal by
 the spacing the ring holds for each diagonal (:class:`_Ring`).
 
 Internally the search and the fallbacks work on integer cells of the K x K
-(user, packet) ring and on bitmasks of them (:class:`_Ring`): a cell's
-diagonal p - u mod K is fixed by the sweep, and one precomputed mask per
-cell answers every mutual-caching test; owed cells are also kept diagonal
-by diagonal, where a seat's run is one K-bit field.  Each sweep decision
-records the search state it was taken in, owed cells included, and
-backtracking restores that state from the record alone.  Sub-packet ids
-are built only for the emitted codewords.
+(user, packet) ring and on bitmasks of them (:class:`_Ring`), numbered
+diagonal by diagonal with the owed diagonals first.  A diagonal is one
+K-bit field and masks hold owed cells only, so the owed mask alone gives
+the cells left on each diagonal and a seat's run ahead.  Each sweep
+decision records the search state it was taken in, and backtracking
+restores that state from the record alone.  Sub-packet ids are built only
+for the emitted codewords.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .model import (
     CacheLayout,
     SubpacketId,
     SystemParams,
-    build_cache_layout,
     build_demand_list,
     validate_demand,
     wrap,
@@ -268,18 +267,17 @@ _RULE_ORDER = (
 class _Ring:
     """The K x K (user, packet) ring of one instance as integer cells.
 
-    Cell ``c = (u-1)*K + (p-1)`` stands for sub-packet (u, p); int order is
-    (user, packet) order, so sorting cells sorts sub-packets.  Sets of
-    cells are K*K-bit masks.  ``compat[c]`` holds the cells that can share
-    a codeword with c: bit c' is set when the user of each cell caches the
-    packet of the other.  A demanded cell never caches its own packet, so
-    it is never in its own mask.  ``adv[c]`` is the cell one sweep step
-    further, (u+1, p+1), and ``diag[c]`` the diagonal p - u mod K it stays
-    on.  Under cyclic placement two cells are compatible exactly when the
-    user offset between them suits both diagonals.
-
-    ``dmajor[c] = d*K + u`` numbers the cells diagonal by diagonal: in a
-    mask in that order, diagonal d is one K-bit field, user u at bit u.
+    User u caches packets u..u+i-1 (mod K), so whether two cells can share
+    a codeword (each user caches the other's packet) depends only on their
+    diagonals p - u and their user offset.  Cell ``c = ((d - i) mod K)*K +
+    u`` is (u+1, u+d+1), on diagonal d: a diagonal is one K-bit field, and
+    the owed diagonals i..K-1 come first, as the bits below (K-i)*K.
+    ``compat[c]``, for owed cells (u, p) only, holds the owed cells that
+    can share a codeword with c: those of the users p-i+1..p, who cache p,
+    whose packet u caches (on diagonal d', users u-d'..u-d'+i-1).  A
+    demanded cell is never in its own mask.  ``adv[c]`` is (u+1, p+1), in
+    c's field; ``diag[c]`` is c's diagonal and ``rank[c]`` its place in
+    (user, packet) order, which emitted codewords follow.
 
     Two cells of diagonal d in one codeword are at least ``spacing[d]`` =
     max(d - i + 1, K - d) users apart around the ring, so a codeword holds
@@ -288,49 +286,58 @@ class _Ring:
     """
 
     __slots__ = (
-        "n_users", "compat", "adv", "diag", "dmajor", "spacing", "team",
-        "owed_diagonals",
+        "n_users", "cache_units", "compat", "adv", "diag", "rank", "spacing",
+        "team", "owed_diagonals",
     )
 
-    def __init__(self, layout: CacheLayout) -> None:
-        K = layout.n_users
-        i = len(layout.packets(1))
-        cells = range(K * K)
+    def __init__(self, K: int, i: int) -> None:
         row = (1 << K) - 1
-        every_row = sum(1 << (r * K) for r in range(K))
-        # holders[p]: every cell of the users caching packet p;
-        # known[u]: every cell whose packet user u caches.
-        holders = [0] * K
-        known = [0] * K
-        for u in range(K):
-            for p in layout.packets(u + 1):
-                holders[p - 1] |= row << (u * K)
-                known[u] |= every_row << (p - 1)
+        owed = range(i, K)
+
+        def users(start: int) -> int:
+            """The field of the i users start..start+i-1 (mod K)."""
+            run = ((1 << i) - 1) << start % K
+            return (run | run >> K) & row
+
+        # holders[p]: the users caching packet p, on every owed diagonal;
+        # known[u]: the owed cells whose packet user u caches.
+        every_field = sum(1 << f * K for f in range(K - i))
+        holders = [users(p - i + 1) * every_field for p in range(K)]
+        known = [
+            sum(users(u - d) << f * K for f, d in enumerate(owed))
+            for u in range(K)
+        ]
+        cells = range(K * K)
         self.n_users = K
-        self.compat = [holders[c % K] & known[c // K] for c in cells]
-        self.adv = [self.shift(c, 1) for c in cells]
-        self.diag = [(c % K - c // K) % K for c in cells]
-        self.dmajor = [d * K + c // K for c, d in enumerate(self.diag)]
+        self.cache_units = i
+        self.compat = [
+            holders[(u + d) % K] & known[u] for d in owed for u in range(K)
+        ]
+        self.adv = [c - c % K + (c + 1) % K for c in cells]
+        self.diag = [(c // K + i) % K for c in cells]
+        self.rank = [c % K * K + (c + d) % K for c, d in zip(cells, self.diag)]
         self.spacing = [max(d - i + 1, K - d) for d in range(K)]
         self.team = [K // gap for gap in self.spacing]
-        self.owed_diagonals = range(i, K)
+        self.owed_diagonals = owed
 
     def cell(self, term: SubpacketId) -> int:
-        return (term.user - 1) * self.n_users + term.packet - 1
+        return self.on_diagonal(term.user - 1, term.packet - term.user)
 
     def on_diagonal(self, user: int, offset: int) -> int:
         """The cell of 0-based ``user`` on diagonal ``offset``."""
         K = self.n_users
-        return user * K + (user + offset) % K
+        return (offset - self.cache_units) % K * K + user
 
     def shift(self, c: int, steps: int) -> int:
         """The cell ``steps`` sweep steps after c."""
-        K = self.n_users
-        return (c // K + steps) % K * K + (c + steps) % K
+        u = c % self.n_users
+        return c - u + (u + steps) % self.n_users
 
     def codeword(self, cells: Iterable[int]) -> Codeword:
-        K = self.n_users
-        return tuple(SubpacketId(c // K + 1, c % K + 1) for c in cells)
+        K, diag = self.n_users, self.diag
+        return tuple(
+            SubpacketId(c % K + 1, (c + diag[c]) % K + 1) for c in cells
+        )
 
 
 # The mask holding every cell, whatever K: what an empty codeword allows.
@@ -347,15 +354,14 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _free_run(free_dm: int, spot: int, n_users: int) -> int:
-    """Transmissions a term seated at diagonal-major bit ``spot`` survives
-    before colliding: the trailing ones of its diagonal's K bits of
-    ``free_dm`` (owed and not in the codeword under construction), rotated
-    down to its user."""
+def _free_run(free: int, cell: int, n_users: int) -> int:
+    """Transmissions a term seated at ``cell`` survives before colliding:
+    the trailing ones of its diagonal's K-bit field of ``free`` (owed and
+    not in the codeword under construction), rotated down to its user."""
     K = n_users
     row = (1 << K) - 1
-    u = spot % K
-    line = free_dm >> spot - u & row
+    u = cell % K
+    line = free >> cell - u & row
     line = (line >> u | line << K - u) & row
     return (line ^ line + 1).bit_length() - 1
 
@@ -365,14 +371,10 @@ def _rule_cells(cell: int, n_users: int) -> tuple[int, int, int, int]:
     1..4: bump the packet, bump the user, drop the user, drop the packet
     -- all cyclically."""
     K = n_users
-    u, p = divmod(cell, K)
-    first = cell - p
-    return (
-        first + (p + 1) % K,
-        (u + 1) % K * K + p,
-        (u - 1) % K * K + p,
-        first + (p - 1) % K,
-    )
+    field, u = divmod(cell, K)
+    up = (field + 1) % K * K
+    down = (field - 1) % K * K
+    return (up + u, down + (u + 1) % K, up + (u - 1) % K, down + u)
 
 
 def _replacement_choices(
@@ -380,8 +382,6 @@ def _replacement_choices(
     flag: int,
     ring: _Ring,
     owed: int,
-    owed_dm: int,
-    owed_on: Sequence[int],
     partial: Sequence[int],
     allowed: int,
     steps_left: int,
@@ -396,12 +396,12 @@ def _replacement_choices(
     the term may re-seat on any still-owed sub-packet compatible with the
     codeword built so far; rescues prefer diagonals holding the most owed
     cells per committed term, then seats whose unobstructed run matches the
-    transmissions left.  Abandoning the term is the final option.
+    transmissions left, then (user, packet) order.  Abandoning the term is
+    the final option.
 
-    ``owed`` is the owed-cell mask and ``owed_dm`` the same cells in
-    diagonal-major order (see :class:`_Ring`), ``owed_on[d]`` the owed
-    cells on diagonal d, and ``allowed`` the cells compatible with every
-    term of ``partial``.  ``walk`` holds the seats the sweep must walk (see
+    ``owed`` is the owed-cell mask, one K-bit field per diagonal (see
+    :class:`_Ring`), and ``allowed`` the cells compatible with every term
+    of ``partial``.  ``walk`` holds the seats the sweep must walk (see
     :func:`_solve_schedule`); every other seat's walk is known to fail
     before the next decision.  When no rescue seat is in ``walk``, the
     rescues are given as their count instead of in ranked order.
@@ -423,33 +423,42 @@ def _replacement_choices(
     elif not seats & seats - 1:
         choices.append((seats.bit_length() - 1, 0))
     else:
-        diag, dmajor = ring.diag, ring.dmajor
-        free = owed_dm
+        row = (1 << K) - 1
+        free = owed
         committed = [0] * K
         for t in partial:
-            free &= ~(1 << dmajor[t])
-            committed[diag[t]] += 1
-        rescue: list[tuple[float, int, int]] = []
+            free &= ~(1 << t)
+            committed[t // K] += 1
+        rescue: list[tuple[float, int, int, int]] = []
         for cell in _bits(seats):
-            d = diag[cell]
-            need = owed_on[d] / (1 + committed[d])
-            fit = abs(_free_run(free, dmajor[cell], K) - steps_left)
-            rescue.append((-need, fit, cell))
+            f = cell // K
+            need = (owed >> f * K & row).bit_count() / (1 + committed[f])
+            fit = abs(_free_run(free, cell, K) - steps_left)
+            rescue.append((-need, fit, ring.rank[cell], cell))
         rescue.sort()
-        choices.extend((cell, 0) for _, _, cell in rescue)
+        choices.extend((cell, 0) for _, _, _, cell in rescue)
     choices.append((None, flag))
     return choices
 
 
-def _overfull(left_on: Sequence[int], steps: int, ring: _Ring) -> list[int]:
-    """The owed diagonals whose cells left do not fit in ``steps``
-    transmissions; finishing needs there to be none.
+def _overfull(left: int, steps: int, ring: _Ring) -> list[tuple[int, int]]:
+    """The owed diagonals, as (d, excess) pairs, whose cells in the mask
+    ``left`` overflow ``steps`` transmissions; finishing needs none.
 
-    ``left_on[d]`` counts the cells left on diagonal d; one transmission
-    ships at most ``team[d]`` of them (see :class:`_Ring`).
+    Diagonal d is one K-bit field of ``left``, and one transmission ships
+    at most ``team[d]`` of its cells (see :class:`_Ring`).
     """
-    team = ring.team
-    return [d for d in ring.owed_diagonals if left_on[d] > team[d] * steps]
+    K = ring.n_users
+    row = (1 << K) - 1
+    over = []
+    for field, d in enumerate(ring.owed_diagonals):
+        room = ring.team[d] * steps
+        # A field holds at most K cells.
+        if room < K:
+            excess = (left >> field * K & row).bit_count() - room
+            if excess > 0:
+                over.append((d, excess))
+    return over
 
 
 def _short(left: int, size: int, steps: int, arity: int, n_users: int) -> bool:
@@ -468,11 +477,11 @@ def _checked_tail(ring: _Ring, owed: int, arity: int) -> list[int] | None:
     the cells before it.  None also when user 1 owes nothing.
     """
     K = ring.n_users
-    # User 1's cells are 0..K-1, in packet order.
-    row = owed & ((1 << K) - 1)
-    if not row:
+    # User 1's owed cells are bit 0 of the owed fields, in packet order.
+    firsts = (c for c in range(0, owed.bit_length(), K) if owed >> c & 1)
+    seed = next(firsts, None)
+    if seed is None:
         return None
-    seed = (row & -row).bit_length() - 1
     built: list[int] = []
     allowed = owed
     for j in range(arity):
@@ -598,7 +607,7 @@ def _tile_minconf(
     the cells, so the tilings are too; a pass also counts when its last
     move clears the last conflict.
     """
-    order = sorted(set(cells))
+    order = sorted(set(cells), key=ring.rank.__getitem__)
     n = len(order)
     if not (0 < n_cliques <= n <= arity * n_cliques):
         return None
@@ -805,7 +814,10 @@ def _spaced_run_cover(
                     return False
 
                 if seat(0):
-                    return [tuple(sorted(c)) for c in cliques]
+                    return [
+                        tuple(sorted(c, key=ring.rank.__getitem__))
+                        for c in cliques
+                    ]
     return None
 
 
@@ -826,15 +838,14 @@ def _tile_leftover(
     K = ring.n_users
     if not offsets:
         return ([], "") if n_cliques == 0 else None
-    counts = [K if d in offsets else 0 for d in range(K)]
-    if len(offsets) * K > arity * n_cliques or _overfull(
-        counts, n_cliques, ring
+    cells = [ring.on_diagonal(u, off) for off in offsets for u in range(K)]
+    if len(cells) > arity * n_cliques or _overfull(
+        sum(1 << c for c in cells), n_cliques, ring
     ):
         return None
     built = _spaced_run_cover(offsets, n_cliques, arity, ring)
     if built is not None:
         return built, "spaced run"
-    cells = [ring.on_diagonal(u, off) for off in offsets for u in range(K)]
     built = _tile_minconf(cells, n_cliques, arity, ring)
     return None if built is None else (built, "min-conflicts")
 
@@ -979,7 +990,7 @@ def _orbit_schedule(
 
 def _solve_schedule(
     params: SystemParams,
-    layout: CacheLayout,
+    layout: CacheLayout | None,
     consts: SchemeConstants,
     seed: Sequence[SubpacketId],
     demand_cells: Sequence[SubpacketId],
@@ -1009,19 +1020,18 @@ def _solve_schedule(
 
     Returns None when the search space is exhausted or ``node_budget``
     replacement decisions were spent without completing a schedule.
+
+    ``layout`` is unread: the ring is ``_ring`` or built from ``params``.
+    The positional signature stays only for ``perfbench/derive_lists.py``
+    (ROADMAP item 11).
     """
     K = params.n_users
     arity, budget = consts.arity, consts.n_transmissions
-    ring = _Ring(layout) if _ring is None else _ring
-    compat, adv, diag, dmajor = ring.compat, ring.adv, ring.diag, ring.dmajor
+    ring = _Ring(K, params.cache_units) if _ring is None else _ring
+    compat, adv = ring.compat, ring.adv
     owed = 0
     for term in demand_cells:
         owed |= 1 << ring.cell(term)
-    owed_on = [0] * K
-    owed_dm = 0
-    for cell in _bits(owed):
-        owed_on[diag[cell]] += 1
-        owed_dm |= 1 << dmajor[cell]
     codewords: list[list[int]] = []
     queue = tuple(ring.cell(term) for term in seed)
     # The codeword under construction and the cells compatible with all
@@ -1031,14 +1041,11 @@ def _solve_schedule(
     flag = 0
     pos = 0
     # Open replacement decisions: (key, decisions spent before it, allowed,
-    # owed_on and owed_dm before it, walk, lost, untried options newest
-    # last).  The key is (owed, commit count, the queue from the served
-    # term on, partial, flag), which fixes all of the search below the
-    # decision, so backtracking restores the search state from the key and
-    # the record.
-    decisions: list[
-        tuple[tuple, int, int, list[int], int, int, bool, list]
-    ] = []
+    # walk, lost, untried options newest last).  The key is (owed, commit
+    # count, the queue from the served term on, partial, flag), which fixes
+    # all of the search below the decision, so backtracking restores the
+    # search state from the key and the record.
+    decisions: list[tuple[tuple, int, int, int, bool, list]] = []
     # Decisions spent below each decision searched to exhaustion, by key.
     # Backtracking inside a decision restores only records made inside it,
     # and a key never recurs on its own path (the queue left shrinks within
@@ -1057,9 +1064,7 @@ def _solve_schedule(
         while stuck and nodes <= node_budget:
             if not decisions:
                 return None
-            key, start, allowed, owed_on, owed_dm, walk, lost, options = (
-                decisions[-1]
-            )
+            key, start, allowed, walk, lost, options = decisions[-1]
             while options and nodes <= node_budget:
                 option = options.pop()
                 if option.__class__ is int:
@@ -1096,19 +1101,13 @@ def _solve_schedule(
                 stuck = True
                 continue
             steps = budget - len(codewords) - 1
-            left = owed.bit_count() - len(partial)
-            left_on = list(owed_on)
-            for cell in partial:
-                left_on[diag[cell]] -= 1
-            if _short(left, len(partial), steps, arity, K) or _overfull(
-                left_on, steps, ring
-            ):
+            left = owed ^ sum(1 << cell for cell in partial)
+            if _short(
+                left.bit_count(), len(partial), steps, arity, K
+            ) or _overfull(left, steps, ring):
                 stuck = True
                 continue
-            for cell in partial:
-                owed ^= 1 << cell
-                owed_dm ^= 1 << dmajor[cell]
-            owed_on = left_on
+            owed = left
             codewords.append(partial)
             if not owed:
                 log.debug(
@@ -1189,19 +1188,13 @@ def _solve_schedule(
             size = len(partial) + lead.bit_count()
             steps = budget - len(codewords) - 1
             n_owed = owed.bit_count()
-            left_on = list(owed_on)
-            for cell in partial:
-                left_on[diag[cell]] -= 1
-            for cell in _bits(lead):
-                left_on[diag[cell]] -= 1
-            over = _overfull(left_on, steps, ring)
+            left = owed ^ lead ^ sum(1 << cell for cell in partial)
+            over = _overfull(left, steps, ring)
             # line: the cells one more term can pass on: any, or only the
             # one diagonal over when it is over by one.
             line = 0 if over else _ANY_CELL
-            if len(over) == 1:
-                d = over[0]
-                if left_on[d] == ring.team[d] * steps + 1:
-                    line = sum(1 << ring.on_diagonal(u, d) for u in range(K))
+            if len(over) == 1 and over[0][1] == 1:
+                line = ((1 << K) - 1) << ring.on_diagonal(0, over[0][0])
             short = _short(n_owed - size - 1, size + 1, steps, arity, K)
             walk &= 0 if short else line
             if ends and ext >= 0:
@@ -1227,17 +1220,13 @@ def _solve_schedule(
             flag,
             ring,
             owed,
-            owed_dm,
-            owed_on,
             partial,
             allowed,
             budget - len(codewords),
             walk,
         )
         options.reverse()
-        decisions.append(
-            (key, nodes, allowed, owed_on, owed_dm, walk, lost, options)
-        )
+        decisions.append((key, nodes, allowed, walk, lost, options))
         stuck = True
 
 
@@ -1271,11 +1260,10 @@ def generate_schedule(
     if 2 * i <= K:
         return closed_form_pairs(params, demands)
     consts = scheme_constants(params)
-    layout = build_cache_layout(params)
-    ring = _Ring(layout)
+    ring = _Ring(K, i)
     codewords = _solve_schedule(
         params,
-        layout,
+        None,
         consts,
         initial_codeword_terms(params),
         build_demand_list(params),

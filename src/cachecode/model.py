@@ -11,6 +11,7 @@ arithmetic can leave the range [1, K].
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,8 +140,19 @@ def build_demand_list(
 
 
 def validate_demand(params: SystemParams, demands: Sequence[int]) -> DemandVector:
-    """Check a demand vector (one file index per user) and normalize it."""
-    d = tuple(int(x) for x in demands)
+    """Check a demand vector (one file index per user) and normalize it.
+
+    Every entry must be an integer (``operator.index``): 1.7 or "2" names
+    no file.
+    """
+    d = []
+    for u, x in enumerate(demands, start=1):
+        try:
+            d.append(operator.index(x))
+        except TypeError:
+            raise InstanceError(
+                f"user {u} demands {x!r}, which is not a file index"
+            ) from None
     if len(d) != params.n_users:
         raise InstanceError(
             f"demand vector has {len(d)} entries for {params.n_users} users"
@@ -150,7 +162,7 @@ def validate_demand(params: SystemParams, demands: Sequence[int]) -> DemandVecto
             raise InstanceError(
                 f"user {u} demands file {f}, outside [1, {params.n_files}]"
             )
-    return d
+    return tuple(d)
 
 
 def identity_demand(params: SystemParams) -> DemandVector:

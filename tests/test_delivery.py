@@ -4,6 +4,7 @@ fallbacks, and the pairwise closed form."""
 
 import dataclasses
 import functools
+import importlib
 import itertools
 import logging
 import math
@@ -13,7 +14,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -185,7 +186,7 @@ class TestCheckedTail:
 
     def ring(self):
         # K=8, i=5 has arity 4, so the shifts are by 0, 2, 4 and 6.
-        return _Ring(build_cache_layout(instance(8, 5)))
+        return _Ring(8, 5)
 
     def diagonal(self, ring, offset):
         return sum(1 << ring.on_diagonal(u, offset) for u in range(8))
@@ -206,8 +207,8 @@ class TestCheckedTail:
 
     def test_user_one_owing_nothing_gives_none(self):
         ring = self.ring()
-        # Cells 0..7 are user 1's.
-        owed = self.diagonal(ring, 6) & ~((1 << 8) - 1)
+        # Diagonal 6 without user 1's cell, (1, 7).
+        owed = self.diagonal(ring, 6) & ~(1 << ring.on_diagonal(0, 6))
         assert _checked_tail(ring, owed, 4) is None
 
     def test_a_shifted_cell_not_owed_gives_none(self):
@@ -226,6 +227,26 @@ class TestCheckedTail:
         assert owed >> ring.shift(seed, 2) & 1
         assert not ring.compat[seed] >> ring.shift(seed, 2) & 1
         assert _checked_tail(ring, owed, 4) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference_tail(self, data):
+        # Every owed cell but a few, so that tails are often well formed.
+        K = data.draw(st.integers(3, 14))
+        i = data.draw(st.integers(K // 2 + 1, K - 1))
+        arity = scheme_constants(instance(K, i)).arity
+        ring = _Ring(K, i)
+        old = ReferenceRing(build_cache_layout(instance(K, i)))
+        terms = build_demand_list(instance(K, i))
+        gone = data.draw(st.sets(st.sampled_from(terms), max_size=3))
+        kept = [t for t in terms if t not in gone]
+        tail = _checked_tail(ring, sum(1 << ring.cell(t) for t in kept), arity)
+        expected = reference_checked_tail(
+            old, sum(1 << old.cell(t) for t in kept), arity
+        )
+        assert (tail and ring.codeword(tail)) == (
+            expected and old.codeword(expected)
+        )
 
 
 class TestTailStep:
@@ -255,41 +276,44 @@ class TestTailStep:
         assert generate_schedule(params).codewords != codewords
 
 
-def moved(term: SubpacketId, flag: int, K: int) -> SubpacketId:
+def moved(term: SubpacketId, flag: int, ring: _Ring) -> SubpacketId:
     """Rule ``flag`` of ``_rule_cells`` applied to a sub-packet id."""
-    cell = (term.user - 1) * K + term.packet - 1
-    u, p = divmod(_rule_cells(cell, K)[flag - 1], K)
-    return SubpacketId(u + 1, p + 1)
+    cell = _rule_cells(ring.cell(term), ring.n_users)[flag - 1]
+    return ring.codeword([cell])[0]
+
+
+# The rules are stated on sub-packets, whatever cache size numbers the
+# cells.
+RULE_RINGS = [_Ring(6, i) for i in range(7)]
 
 
 class TestReplacementRules:
     def test_the_four_moves(self):
         term = SubpacketId(3, 5)
-        assert moved(term, 1, 6) == SubpacketId(3, 6)
-        assert moved(term, 2, 6) == SubpacketId(4, 5)
-        assert moved(term, 3, 6) == SubpacketId(2, 5)
-        assert moved(term, 4, 6) == SubpacketId(3, 4)
+        for ring in RULE_RINGS:
+            assert moved(term, 1, ring) == SubpacketId(3, 6)
+            assert moved(term, 2, ring) == SubpacketId(4, 5)
+            assert moved(term, 3, ring) == SubpacketId(2, 5)
+            assert moved(term, 4, ring) == SubpacketId(3, 4)
 
     def test_moves_wrap_around(self):
-        assert moved(SubpacketId(1, 6), 1, 6) == SubpacketId(1, 1)
-        assert moved(SubpacketId(6, 2), 2, 6) == SubpacketId(1, 2)
-        assert moved(SubpacketId(1, 2), 3, 6) == SubpacketId(6, 2)
-        assert moved(SubpacketId(3, 1), 4, 6) == SubpacketId(3, 6)
+        for ring in RULE_RINGS:
+            assert moved(SubpacketId(1, 6), 1, ring) == SubpacketId(1, 1)
+            assert moved(SubpacketId(6, 2), 2, ring) == SubpacketId(1, 2)
+            assert moved(SubpacketId(1, 2), 3, ring) == SubpacketId(6, 2)
+            assert moved(SubpacketId(3, 1), 4, ring) == SubpacketId(3, 6)
 
 
 class TestReplacementChoices:
     """The placement options of a served term, on K=6, i=4."""
 
     def setup_method(self):
-        self.ring = _Ring(build_cache_layout(instance(6, 4)))
+        self.ring = _Ring(6, 4)
         self.owed = set(build_demand_list(instance(6, 4)))
 
     def choices(self, dead, flag, owed=None, lead=(), doomed=False):
         ring = self.ring
         cells = [ring.cell(t) for t in (self.owed if owed is None else owed)]
-        owed_on = [0] * 6
-        for c in cells:
-            owed_on[ring.diag[c]] += 1
         # The seats the sweep walks: those in the lead and, unless it is
         # doomed, those compatible with every lead cell.
         fit = _ANY_CELL
@@ -297,9 +321,8 @@ class TestReplacementChoices:
             fit &= ring.compat[ring.cell(t)]
         walk = sum(1 << ring.cell(t) for t in lead) | (0 if doomed else fit)
         options = _replacement_choices(
-            ring.cell(dead), flag, ring, sum(1 << c for c in cells),
-            sum(1 << ring.dmajor[c] for c in cells), owed_on, [], _ANY_CELL, 3,
-            walk,
+            ring.cell(dead), flag, ring, sum(1 << c for c in cells), [],
+            _ANY_CELL, 3, walk,
         )
         return [
             option if isinstance(option, int)
@@ -480,31 +503,46 @@ class TestClosedFormPairs:
 
 
 def ring_instances():
-    return [(K, i) for K in range(1, 10) for i in range(K + 1)] + [(24, 17)]
+    return [(K, i) for K in range(1, 10) for i in range(K + 1)] + [
+        (24, 17), (64, 56),
+    ]
 
 
 class TestIntegerCells:
+    """The ring's numbering and compatibility against the placement."""
+
     @pytest.mark.parametrize("K,i", ring_instances())
     def test_compatibility_table_matches_the_layout(self, K, i):
         layout = build_cache_layout(instance(K, i))
-        ring = _Ring(layout)
-        terms = [SubpacketId(u, p) for u in range(1, K + 1) for p in range(1, K + 1)]
-        for a, (ua, pa) in enumerate(terms):
+        ring = _Ring(K, i)
+        terms = build_demand_list(instance(K, i))
+        cells = [ring.cell(t) for t in terms]
+        # The owed cells come first; only they have masks, of owed cells.
+        n_owed = (K - i) * K
+        assert sorted(cells) == list(range(n_owed))
+        assert len(ring.compat) == n_owed
+        assert all(0 <= mask < 1 << n_owed for mask in ring.compat)
+        for a, (ua, pa) in zip(cells, terms):
             row = ring.compat[a]
-            for b, (ub, pb) in enumerate(terms):
+            for b, (ub, pb) in zip(cells, terms):
                 mutual = layout.knows(ub, pa) and layout.knows(ua, pb)
-                assert bool(row >> b & 1) == mutual, (terms[a], terms[b])
+                assert bool(row >> b & 1) == mutual, ((ua, pa), (ub, pb))
 
-    @pytest.mark.parametrize("K,i", [(1, 0), (6, 4), (13, 9)])
+    @pytest.mark.parametrize("K,i", ring_instances() + [(13, 9)])
     def test_cells_follow_subpacket_order_and_advance_diagonally(self, K, i):
-        ring = _Ring(build_cache_layout(instance(K, i)))
-        terms = ring.codeword(range(K * K))
-        assert list(terms) == sorted(terms)
-        for c, (u, p) in enumerate(terms):
-            assert ring.cell(SubpacketId(u, p)) == c
-            assert terms[ring.adv[c]] == (u % K + 1, p % K + 1)
+        # Every cell round-trips through its sub-packet id, ``rank`` puts
+        # them in (user, packet) order, and a sweep step stays in the field.
+        ring = _Ring(K, i)
+        users = range(1, K + 1)
+        terms = [SubpacketId(u, p) for u in users for p in users]
+        cells = [ring.cell(t) for t in terms]
+        assert sorted(cells) == list(range(K * K))
+        assert list(ring.codeword(cells)) == terms
+        assert [ring.rank[c] for c in cells] == list(range(K * K))
+        for c, (u, p) in zip(cells, terms):
+            assert ring.codeword([ring.adv[c]]) == ((u % K + 1, p % K + 1),)
+            assert ring.adv[c] // K == c // K
             assert ring.diag[c] == (p - u) % K
-            assert ring.dmajor[c] == ring.diag[c] * K + u - 1
 
 
 class TestSweepNodeBudget:
@@ -518,6 +556,16 @@ class TestSweepNodeBudget:
         codewords = self.solve(13, 9)
         assert codewords is not None
         assert codewords == list(generate_schedule(instance(13, 9)).codewords)
+
+    def test_the_benchmark_derivation_runs_the_sweep(self, monkeypatch):
+        # perfbench/derive_lists.py calls _solve_schedule positionally with
+        # a layout, which the sweep does not read; that call must keep
+        # working.
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        derive_lists = importlib.import_module("derive_lists")
+        assert derive_lists.sweep_finishes(13, 9) is True
+        assert derive_lists.sweep_finishes(13, 10) is False
 
     @pytest.mark.parametrize(
         "K,i,outcome",
@@ -535,8 +583,106 @@ class TestSweepNodeBudget:
 
 # The plain depth-first sweep that the counting one replaced, kept verbatim
 # as a reference: `TestSweepMatchesReference` checks that both return the
-# same schedule and log the same decisions spent under every budget.
+# same schedule and log the same decisions spent under every budget.  It
+# runs on the ring it was written for, which numbers cells in (user,
+# packet) order and derives compatibility from a `CacheLayout`, kept
+# verbatim too, with its tail step.
 log = logging.getLogger("cachecode.delivery")
+
+
+class ReferenceRing:
+    """The K x K (user, packet) ring of one instance as integer cells.
+
+    Cell ``c = (u-1)*K + (p-1)`` stands for sub-packet (u, p); int order is
+    (user, packet) order, so sorting cells sorts sub-packets.  Sets of
+    cells are K*K-bit masks.  ``compat[c]`` holds the cells that can share
+    a codeword with c: bit c' is set when the user of each cell caches the
+    packet of the other.  A demanded cell never caches its own packet, so
+    it is never in its own mask.  ``adv[c]`` is the cell one sweep step
+    further, (u+1, p+1), and ``diag[c]`` the diagonal p - u mod K it stays
+    on.  Under cyclic placement two cells are compatible exactly when the
+    user offset between them suits both diagonals.
+
+    ``dmajor[c] = d*K + u`` numbers the cells diagonal by diagonal: in a
+    mask in that order, diagonal d is one K-bit field, user u at bit u.
+
+    Two cells of diagonal d in one codeword are at least ``spacing[d]`` =
+    max(d - i + 1, K - d) users apart around the ring, so a codeword holds
+    at most ``team[d]`` = K // spacing[d] of them.  The demands fill the
+    ``owed_diagonals`` i..K-1.
+    """
+
+    __slots__ = (
+        "n_users", "compat", "adv", "diag", "dmajor", "spacing", "team",
+        "owed_diagonals",
+    )
+
+    def __init__(self, layout: CacheLayout) -> None:
+        K = layout.n_users
+        i = len(layout.packets(1))
+        cells = range(K * K)
+        row = (1 << K) - 1
+        every_row = sum(1 << (r * K) for r in range(K))
+        # holders[p]: every cell of the users caching packet p;
+        # known[u]: every cell whose packet user u caches.
+        holders = [0] * K
+        known = [0] * K
+        for u in range(K):
+            for p in layout.packets(u + 1):
+                holders[p - 1] |= row << (u * K)
+                known[u] |= every_row << (p - 1)
+        self.n_users = K
+        self.compat = [holders[c % K] & known[c // K] for c in cells]
+        self.adv = [self.shift(c, 1) for c in cells]
+        self.diag = [(c % K - c // K) % K for c in cells]
+        self.dmajor = [d * K + c // K for c, d in enumerate(self.diag)]
+        self.spacing = [max(d - i + 1, K - d) for d in range(K)]
+        self.team = [K // gap for gap in self.spacing]
+        self.owed_diagonals = range(i, K)
+
+    def cell(self, term: SubpacketId) -> int:
+        return (term.user - 1) * self.n_users + term.packet - 1
+
+    def on_diagonal(self, user: int, offset: int) -> int:
+        """The cell of 0-based ``user`` on diagonal ``offset``."""
+        K = self.n_users
+        return user * K + (user + offset) % K
+
+    def shift(self, c: int, steps: int) -> int:
+        """The cell ``steps`` sweep steps after c."""
+        K = self.n_users
+        return (c // K + steps) % K * K + (c + steps) % K
+
+    def codeword(self, cells: Iterable[int]) -> Codeword:
+        K = self.n_users
+        return tuple(SubpacketId(c // K + 1, c % K + 1) for c in cells)
+
+
+
+def reference_checked_tail(ring: ReferenceRing, owed: int, arity: int) -> list[int] | None:
+    """The tail codeword, or None when it is not well formed.
+
+    Seeds at user 1's owed cell with the lowest packet and adds its shifts
+    by floor(j*K/arity), j = 1..arity-1, each of which must be owed and fit
+    the cells before it.  None also when user 1 owes nothing.
+    """
+    K = ring.n_users
+    # User 1's cells are 0..K-1, in packet order.
+    row = owed & ((1 << K) - 1)
+    if not row:
+        return None
+    seed = (row & -row).bit_length() - 1
+    built: list[int] = []
+    allowed = owed
+    for j in range(arity):
+        cell = ring.shift(seed, j * K // arity)
+        if not allowed >> cell & 1:
+            return None
+        built.append(cell)
+        allowed &= ring.compat[cell]
+    return built
+
+
 
 
 def reference_run_ahead(
@@ -577,7 +723,7 @@ def reference_rule_cell(cell: int, flag: int, n_users: int) -> int:
 def reference_replacement_choices(
     dead: int,
     flag: int,
-    ring: _Ring,
+    ring: ReferenceRing,
     owed: int,
     owed_on: Sequence[int],
     partial: Sequence[int],
@@ -668,7 +814,7 @@ def reference_solve_schedule(
     """
     K = params.n_users
     arity, budget, stride = consts.arity, consts.n_transmissions, consts.stride
-    ring = _Ring(layout)
+    ring = ReferenceRing(layout)
     compat, adv, diag = ring.compat, ring.adv, ring.diag
     owed = 0
     for term in demand_cells:
@@ -787,7 +933,7 @@ def reference_solve_schedule(
                 continue
             return None
         if not partial and n_owed == K:
-            tail = _checked_tail(ring, owed, arity)
+            tail = reference_checked_tail(ring, owed, arity)
             if tail is not None:
                 partial = tail
                 for cell in tail:
@@ -924,12 +1070,12 @@ class TestSweepMatchesReference:
     def test_lead_seats_and_abandoning_fail_together(
         self, seed, lead, walked, caplog, monkeypatch
     ):
-        ring = _Ring(build_cache_layout(instance(6, 4)))
+        ring = _Ring(6, 4)
         seed = [SubpacketId(u, p) for u, p in seed]
         calls = spy_on_choices(monkeypatch)
         assert_matches_reference_until_it_ends(6, 4, seed, caplog)
         first = calls[0]
-        fits, walk = first[3] & first[7], first[9]
+        fits, walk = first[3] & first[5], first[7]
         assert all(fits >> ring.cell(SubpacketId(*t)) & 1 for t in lead)
         assert ring.codeword(_bits(fits & walk)) == tuple(
             SubpacketId(*t) for t in walked
@@ -1005,7 +1151,7 @@ def assert_matches_reference_until_it_ends(K, i, seed, caplog):
 
 @functools.lru_cache(maxsize=None)
 def bare_ring(K: int) -> _Ring:
-    return _Ring(build_cache_layout(instance(K, K - 1)))
+    return _Ring(K, K - 1)
 
 
 class TestFreeRun:
@@ -1020,8 +1166,7 @@ class TestFreeRun:
         claimed = data.draw(st.just(0) | masks)
         cell = data.draw(st.integers(0, K * K - 1))
         free = owed & ~claimed
-        free_dm = sum(1 << ring.dmajor[c] for c in _bits(free))
-        assert _free_run(free_dm, ring.dmajor[cell], K) == reference_run_ahead(
+        assert _free_run(free, cell, K) == reference_run_ahead(
             cell, free, ring.adv, K
         )
 
@@ -1030,7 +1175,7 @@ class TestSpacing:
     @pytest.mark.parametrize("K", range(2, 17))
     def test_no_closer_pair_on_a_diagonal_is_compatible(self, K):
         for i in range(1, K):
-            ring = _Ring(build_cache_layout(instance(K, i)))
+            ring = _Ring(K, i)
             for off in range(i, K):
                 spacing = ring.spacing[off]
                 fits = ring.compat[ring.on_diagonal(0, off)]
@@ -1087,7 +1232,7 @@ class TestTransversalBlocks:
     def test_only_the_mirrored_blocks_admit_a_transversal(self):
         # K=27, i=15 owes diagonals 15..26; of the 495 blocks of four, only
         # the five closed under the mirror d -> 41 - d have a transversal.
-        ring = _Ring(build_cache_layout(instance(27, 15)))
+        ring = _Ring(27, 15)
         found = [
             block
             for block in itertools.combinations(ring.owed_diagonals, 4)
@@ -1107,7 +1252,7 @@ class TestTransversalBlocks:
 # `TestMinconfMatchesReference` checks that both return the same tilings,
 # and None on the same inputs.  The reference checks the state only before
 # each move, so it loses a pass whose last move clears the last conflict.
-def reference_conflicts(order: Sequence[int], ring: _Ring) -> list[int]:
+def reference_conflicts(order: Sequence[int], ring: ReferenceRing) -> list[int]:
     """Bit b of entry a: cells order[a] and order[b] cannot share a codeword."""
     conflicts = []
     for a, cell in enumerate(order):
@@ -1126,7 +1271,7 @@ def reference_tile_minconf(
     cells: Collection[int],
     n_cliques: int,
     arity: int,
-    ring: _Ring,
+    ring: ReferenceRing,
 ) -> list[tuple[int, ...]] | None:
     """Partition ``cells`` into ``n_cliques`` codewords by local search.
 
@@ -1237,6 +1382,22 @@ def reference_tile_minconf(
     return None
 
 
+def reference_tiling(cells, n_cliques, arity, ring):
+    """`reference_tile_minconf` on the same cells of `ReferenceRing`, as
+    sub-packet ids."""
+    old = ReferenceRing(build_cache_layout(instance(ring.n_users, ring.cache_units)))
+    tiled = reference_tile_minconf(
+        [old.cell(t) for t in ring.codeword(cells)], n_cliques, arity, old
+    )
+    return None if tiled is None else [old.codeword(cw) for cw in tiled]
+
+
+def tiling(cells, n_cliques, arity, ring):
+    """`_tile_minconf` as sub-packet ids."""
+    tiled = _tile_minconf(cells, n_cliques, arity, ring)
+    return None if tiled is None else [ring.codeword(cw) for cw in tiled]
+
+
 def orbit_tilings(K, i):
     """The min-conflicts calls of (K, i)'s orbit fallback, with results."""
     calls = []
@@ -1249,16 +1410,14 @@ def orbit_tilings(K, i):
     params = instance(K, i)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(delivery, "_tile_minconf", spy)
-        delivery._orbit_schedule(
-            _Ring(build_cache_layout(params)), scheme_constants(params)
-        )
+        delivery._orbit_schedule(_Ring(K, i), scheme_constants(params))
     return calls
 
 
 def whole_region(K, i):
     """The tiler's input for all of (K, i)'s owed diagonals."""
     params = instance(K, i)
-    ring = _Ring(build_cache_layout(params))
+    ring = _Ring(K, i)
     arity = scheme_constants(params).arity
     cells = [
         ring.on_diagonal(u, off)
@@ -1275,7 +1434,8 @@ class TestMinconfMatchesReference:
         assert calls
         for args, tiled in calls:
             assert tiled is not None
-            assert tiled == reference_tile_minconf(*args)
+            ring = args[-1]
+            assert [ring.codeword(cw) for cw in tiled] == reference_tiling(*args)
 
     def test_stalled_passes_restart_alike(self, monkeypatch):
         # With 1000 moves a pass, seeds 0-3 stall on 19:14 and seed 4 tiles.
@@ -1284,40 +1444,40 @@ class TestMinconfMatchesReference:
         monkeypatch.setattr(delivery, "_MINCONF_SEEDS", 4)
         assert _tile_minconf(*args) is None
         monkeypatch.setattr(delivery, "_MINCONF_SEEDS", 8)
-        tiled = _tile_minconf(*args)
+        tiled = tiling(*args)
         assert tiled is not None
-        assert tiled == reference_tile_minconf(*args)
+        assert tiled == reference_tiling(*args)
 
     def test_every_pass_stalls_alike(self, monkeypatch):
         monkeypatch.setattr(delivery, "_MINCONF_MOVES", 200)
         monkeypatch.setattr(delivery, "_MINCONF_SEEDS", 5)
         args = whole_region(22, 16)
         assert _tile_minconf(*args) is None
-        assert reference_tile_minconf(*args) is None
+        assert reference_tiling(*args) is None
 
     def test_one_codeword_alike(self):
         # The cases of `TestTilingGuards.test_minconf_for_one_codeword`.
         for K, i in ((13, 10), (4, 3)):
-            ring = _Ring(build_cache_layout(instance(K, i)))
+            ring = _Ring(K, i)
             cells = [ring.on_diagonal(u, i) for u in range(K)]
-            assert _tile_minconf(cells, 1, K, ring) == reference_tile_minconf(
+            assert tiling(cells, 1, K, ring) == reference_tiling(
                 cells, 1, K, ring
             )
 
     def test_the_state_after_the_last_move_counts(self, monkeypatch):
         # Seed 0 clears 13:10's last three diagonals on its 58th move.  The
         # reference checks only before each move, so it needs a 59th.
-        ring = _Ring(build_cache_layout(instance(13, 10)))
+        ring = _Ring(13, 10)
         cells = [
             ring.on_diagonal(u, off) for off in (10, 11, 12) for u in range(13)
         ]
         monkeypatch.setattr(delivery, "_MINCONF_SEEDS", 1)
         monkeypatch.setattr(delivery, "_MINCONF_MOVES", 58)
-        tiled = _tile_minconf(cells, 7, 6, ring)
+        tiled = tiling(cells, 7, 6, ring)
         assert tiled is not None
-        assert reference_tile_minconf(cells, 7, 6, ring) is None
+        assert reference_tiling(cells, 7, 6, ring) is None
         monkeypatch.setattr(delivery, "_MINCONF_MOVES", 59)
-        assert reference_tile_minconf(cells, 7, 6, ring) == tiled
+        assert reference_tiling(cells, 7, 6, ring) == tiled
 
 
 def refuse(name):
@@ -1331,7 +1491,7 @@ class TestTilingGuards:
     """Guards of the tilers that no instance in the test suite reaches."""
 
     def ring(self, K, i):
-        return _Ring(build_cache_layout(instance(K, i)))
+        return _Ring(K, i)
 
     @pytest.mark.parametrize(
         "offsets,n_cliques",

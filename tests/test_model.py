@@ -142,6 +142,11 @@ class TestDemandVectors:
         with pytest.raises(InstanceError):
             validate_demand(params, [1, 2, 3])
 
+    @pytest.mark.parametrize("entry", [1.7, 2.0, "x", "2", None])
+    def test_an_entry_that_is_not_an_integer_names_its_user(self, entry):
+        with pytest.raises(InstanceError, match="^user 2 demands "):
+            validate_demand(instance(3, 1), [1, entry, 3])
+
     def test_identity_needs_enough_files(self):
         assert identity_demand(instance(5, 2)) == (1, 2, 3, 4, 5)
         with pytest.raises(InstanceError):
