@@ -11,11 +11,11 @@ K/2) is the pairwise closed form :func:`closed_form_pairs`; arity 3 and up
 runs the sweep search below and, when it gives up, the orbit fallback.
 
 The sweep seeds one structured codeword and then repeatedly advances
-every term's user and packet index by one (mod K).  Advanced terms that were
-already served are patched: first through a small replacement rule set, then
--- when the rules dead-end -- by re-seating the term on any still-owed
-sub-packet compatible with the codeword under construction.  When a
-codeword opens on a served term while exactly K sub-packets remain, the
+every term's user and packet index by one (mod K), so no codeword it walks
+outgrows the arity.  Advanced terms that were already served are patched:
+first through a small replacement rule set, then -- when the rules
+dead-end -- by re-seating the term on any still-owed sub-packet compatible
+with the codeword under construction.  When a codeword opens on a served term while exactly K sub-packets remain, the
 tail step sends user 1's first owed cell together with its shifts by
 floor(j*K/arity), spread evenly over the ring.  A depth-first search over
 the replacement placements, pruned by exact counting bounds, drives the
@@ -45,8 +45,8 @@ the spacing the ring holds for each diagonal (:class:`_Ring`).
 Internally the search and the fallbacks work on integer cells of the K x K
 (user, packet) ring and on bitmasks of them (:class:`_Ring`), numbered
 diagonal by diagonal with the owed diagonals first.  A diagonal is one
-K-bit field and masks hold owed cells only, so the owed mask alone gives
-the cells left on each diagonal and a seat's run ahead.  Each sweep
+K-bit field, and masks and tables hold owed cells only, so the owed mask
+alone gives the cells left on each diagonal and a seat's run ahead.  Each sweep
 decision records the search state it was taken in, and backtracking
 restores that state from the record alone.  Sub-packet ids are built only
 for the emitted codewords.
@@ -276,8 +276,8 @@ class _Ring:
     can share a codeword with c: those of the users p-i+1..p, who cache p,
     whose packet u caches (on diagonal d', users u-d'..u-d'+i-1).  A
     demanded cell is never in its own mask.  ``adv[c]`` is (u+1, p+1), in
-    c's field; ``diag[c]`` is c's diagonal and ``rank[c]`` its place in
-    (user, packet) order, which emitted codewords follow.
+    c's field, and ``rank[c]`` its place in (user, packet) order, which
+    emitted codewords follow; both for owed cells only.
 
     Two cells of diagonal d in one codeword are at least ``spacing[d]`` =
     max(d - i + 1, K - d) users apart around the ring, so a codeword holds
@@ -286,8 +286,8 @@ class _Ring:
     """
 
     __slots__ = (
-        "n_users", "cache_units", "compat", "adv", "diag", "rank", "spacing",
-        "team", "owed_diagonals",
+        "n_users", "cache_units", "compat", "adv", "rank", "spacing", "team",
+        "owed_diagonals",
     )
 
     def __init__(self, K: int, i: int) -> None:
@@ -307,15 +307,14 @@ class _Ring:
             sum(users(u - d) << f * K for f, d in enumerate(owed))
             for u in range(K)
         ]
-        cells = range(K * K)
+        cells = range((K - i) * K)
         self.n_users = K
         self.cache_units = i
         self.compat = [
             holders[(u + d) % K] & known[u] for d in owed for u in range(K)
         ]
         self.adv = [c - c % K + (c + 1) % K for c in cells]
-        self.diag = [(c // K + i) % K for c in cells]
-        self.rank = [c % K * K + (c + d) % K for c, d in zip(cells, self.diag)]
+        self.rank = [c % K * K + (c + c // K + i) % K for c in cells]
         self.spacing = [max(d - i + 1, K - d) for d in range(K)]
         self.team = [K // gap for gap in self.spacing]
         self.owed_diagonals = owed
@@ -334,9 +333,9 @@ class _Ring:
         return c - u + (u + steps) % self.n_users
 
     def codeword(self, cells: Iterable[int]) -> Codeword:
-        K, diag = self.n_users, self.diag
+        K, i = self.n_users, self.cache_units
         return tuple(
-            SubpacketId(c % K + 1, (c + diag[c]) % K + 1) for c in cells
+            SubpacketId(c % K + 1, (c + c // K + i) % K + 1) for c in cells
         )
 
 
@@ -1021,12 +1020,17 @@ def _solve_schedule(
     Returns None when the search space is exhausted or ``node_budget``
     replacement decisions were spent without completing a schedule.
 
+    ``seed`` is one codeword, of at most ``consts.arity`` terms; a longer
+    one raises ValueError.
+
     ``layout`` is unread: the ring is ``_ring`` or built from ``params``.
     The positional signature stays only for ``perfbench/derive_lists.py``
     (ROADMAP item 11).
     """
     K = params.n_users
     arity, budget = consts.arity, consts.n_transmissions
+    if len(seed) > arity:
+        raise ValueError(f"seed of {len(seed)} terms exceeds arity {arity}")
     ring = _Ring(K, params.cache_units) if _ring is None else _ring
     compat, adv = ring.compat, ring.adv
     owed = 0
@@ -1124,7 +1128,7 @@ def _solve_schedule(
             pos = 0
             continue
         cand = queue[pos]
-        if len(partial) >= arity or cand in partial:
+        if cand in partial:
             pos += 1
             continue
         if owed >> cand & 1:
@@ -1138,10 +1142,9 @@ def _solve_schedule(
         if not partial and owed.bit_count() == K:
             tail = _checked_tail(ring, owed, arity)
             if tail is not None:
+                # The tail fills the codeword: commit it.
                 partial = tail
-                for cell in tail:
-                    allowed &= compat[cell]
-                pos += 1
+                pos = len(queue)
                 continue
         key = (owed, len(codewords), queue[pos:], tuple(partial), flag)
         spent = dead.get(key)
@@ -1150,60 +1153,48 @@ def _solve_schedule(
             stuck = True
             continue
         # lead: the owed cells a seat outside it appends next, up to the
-        # first cell not owed, the end of the queue or the arity cap, and
-        # ext the first cell past that cap; doomed: the lead conflicts with
-        # itself or with the partial codeword.
+        # first cell not owed or the end of the queue (a queue holds one
+        # codeword at most, so the codeword never fills before it ends);
+        # doomed: the lead conflicts with itself or with the partial
+        # codeword.
         lead = 0
         doomed = False
         fit = allowed
-        room = arity - len(partial) - 1
         commits = True
-        ext = -1
         for cell in queue[pos + 1 :]:
             if cell in partial:
                 continue
-            if not room:
-                ext = cell
-                break
             if not owed >> cell & 1:
                 commits = False
                 break
             lead |= 1 << cell
             doomed = doomed or not fit >> cell & 1
             fit &= compat[cell]
-            room -= 1
-        # A seat on a lead cell and abandoning reach the same cells: the
-        # lead, then ext if owed.  lost: they fail before the next
-        # decision; ends: a commit follows those cells.
-        ends = commits
-        if ext >= 0:
-            ends = owed >> ext & 1
-        lost = doomed or ext >= 0 and ends and not fit >> ext & 1
-        # walk: the seats not known to fail before the next decision: the
-        # lead unless lost, and unless doomed, those fitting every lead
-        # cell.  When a commit comes next, a seat changes its bounds only
-        # by its diagonal.
+        # A seat on a lead cell and abandoning reach the same cells, so
+        # lost: they fail before the next decision.  walk: the seats not
+        # known to fail before the next decision: the lead unless lost, and
+        # unless doomed, those fitting every lead cell.  When a commit comes
+        # next, a seat changes its bounds only by its diagonal.
+        lost = doomed
         walk = 0 if doomed else fit
-        if commits and (walk or ends and not lost):
+        if commits and (walk or not lost):
             size = len(partial) + lead.bit_count()
             steps = budget - len(codewords) - 1
             n_owed = owed.bit_count()
             left = owed ^ lead ^ sum(1 << cell for cell in partial)
             over = _overfull(left, steps, ring)
             # line: the cells one more term can pass on: any, or only the
-            # one diagonal over when it is over by one.
+            # one diagonal over when it is over by one; none when short.
             line = 0 if over else _ANY_CELL
             if len(over) == 1 and over[0][1] == 1:
                 line = ((1 << K) - 1) << ring.on_diagonal(0, over[0][0])
-            short = _short(n_owed - size - 1, size + 1, steps, arity, K)
-            walk &= 0 if short else line
-            if ends and ext >= 0:
-                lost = lost or short or not line >> ext & 1
-            elif ends:
-                lost = (
-                    lost or not size or line != _ANY_CELL
-                    or _short(n_owed - size, size, steps, arity, K)
-                )
+            if _short(n_owed - size - 1, size + 1, steps, arity, K):
+                line = 0
+            walk &= line
+            lost = (
+                lost or not size or bool(over)
+                or _short(n_owed - size, size, steps, arity, K)
+            )
         if not lost:
             walk |= lead
         fits = owed & allowed

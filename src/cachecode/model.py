@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -53,6 +53,20 @@ class SubpacketId(NamedTuple):
 DemandVector = tuple[int, ...]
 
 
+def _check_int_fields(params: object) -> None:
+    """Store every field of a frozen instance dataclass as an int, through
+    ``operator.index`` as :func:`validate_demand` does: 6.0 or "6" is no
+    count."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        try:
+            object.__setattr__(params, field.name, operator.index(value))
+        except TypeError:
+            raise InstanceError(
+                f"{field.name} is {value!r}, which is not an integer"
+            ) from None
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """An (N, K) instance whose caches hold i of the K sub-packets per file."""
@@ -62,6 +76,7 @@ class SystemParams:
     cache_units: int
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         if self.n_users < 1:
             raise InstanceError(f"need at least one user, got {self.n_users}")
         if self.n_files < 1:

@@ -30,7 +30,13 @@ from typing import NamedTuple, Sequence
 
 from .delivery import TransmissionSchedule, generate_schedule, rate
 from .errors import InstanceError, RegimeError, UnsupportedMemoryPoint
-from .model import CacheLayout, SubpacketId, SystemParams, wrap
+from .model import (
+    CacheLayout,
+    SubpacketId,
+    SystemParams,
+    _check_int_fields,
+    wrap,
+)
 
 __all__ = [
     "CcdnParams",
@@ -63,6 +69,7 @@ class CcdnParams:
     cache_units: int
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         K, L, i = self.n_users, self.access_degree, self.cache_units
         if K < 1 or self.n_files < 1:
             raise InstanceError("need at least one user and one file")
@@ -197,7 +204,12 @@ class RateBoundCurve:
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def evaluate(self, memory: Fraction | int | str) -> Fraction:
-        m = Fraction(memory)
+        try:
+            m = Fraction(memory)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise InstanceError(
+                f"cache memory {memory!r} is not a number"
+            ) from None
         if m < 0:
             raise InstanceError(f"cache memory must be nonnegative, got {m}")
         points = self.breakpoints

@@ -235,6 +235,17 @@ class TestExitCodesAndOutput:
         )
         assert code == 2
 
+    def test_a_file_list_with_no_number_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "schedule", "--K", "3", "--i", "1", "--demand", "1,x,3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: bad demand spec '1,x,3'; want 'identity', "
+            "'random:<seed>', or a comma-separated file list\n"
+        )
+
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_non_positive_subpacket_size_is_a_usage_error(self, capsys, size):
         code, out, err = run(

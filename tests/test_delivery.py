@@ -45,7 +45,7 @@ from cachecode.delivery import (
     rate,
     scheme_constants,
 )
-from cachecode.errors import InstanceError, RegimeError
+from cachecode.errors import InstanceError, RegimeError, ScheduleError
 from cachecode.model import (
     CacheLayout,
     SubpacketId,
@@ -448,6 +448,57 @@ class TestGenerateSchedule:
         assert set(served) == set(build_demand_list(params))
 
 
+def over_arity(codewords, arity):
+    """The codewords with the first one grown past the arity by a term
+    from each later one that keeps a term."""
+    first, rest = list(codewords[0]), [list(cw) for cw in codewords[1:]]
+    for cw in rest:
+        if len(first) <= arity and len(cw) > 1:
+            first.append(cw.pop())
+    return (tuple(first), *map(tuple, rest))
+
+
+class TestScheduleShape:
+    """The shape check that every generated schedule passes."""
+
+    @pytest.mark.parametrize("K,i", [(6, 4), (13, 10)])  # sweep, fallback
+    def test_bad_copies_are_refused_by_name(self, K, i):
+        schedule = generate_schedule(instance(K, i))
+        consts = scheme_constants(schedule.params)
+        codewords = schedule.codewords
+        n, terms = consts.n_transmissions, K * (K - i)
+        dropped = len(codewords[-1])
+        first, second = codewords[0], codewords[1]
+        twice = (first, (first[0],) + second[1:]) + codewords[2:]
+        partition = "served sub-packets do not partition the demands"
+        bad = [
+            (
+                codewords[:-1],
+                f"{n - 1} transmissions instead of {n}; "
+                f"{terms - dropped} terms instead of {terms}; {partition}",
+            ),
+            (twice, partition),
+            (
+                over_arity(codewords, consts.arity),
+                f"codeword arity outside [1, {consts.arity}]",
+            ),
+        ]
+        for copy, problems in bad:
+            with pytest.raises(ScheduleError) as caught:
+                delivery._assert_schedule_shape(
+                    dataclasses.replace(schedule, codewords=copy)
+                )
+            assert str(caught.value) == f"K={K}, i={i}: {problems}"
+
+    def test_an_instance_nothing_builds_raises(self, monkeypatch):
+        monkeypatch.setattr(delivery, "_orbit_schedule", lambda *args: None)
+        with pytest.raises(
+            ScheduleError,
+            match=r"^K=13, i=10: no schedule of 7 transmissions found$",
+        ):
+            generate_schedule(instance(13, 10))
+
+
 def sweep(params: SystemParams) -> list[Codeword] | None:
     """The sweep search alone, with the budget ``generate_schedule`` sets."""
     return _solve_schedule(
@@ -530,19 +581,25 @@ class TestIntegerCells:
 
     @pytest.mark.parametrize("K,i", ring_instances() + [(13, 9)])
     def test_cells_follow_subpacket_order_and_advance_diagonally(self, K, i):
-        # Every cell round-trips through its sub-packet id, ``rank`` puts
-        # them in (user, packet) order, and a sweep step stays in the field.
+        # Every cell round-trips through its sub-packet id on its diagonal;
+        # ``rank`` puts the owed cells in (user, packet) order, and a sweep
+        # step keeps an owed cell in its field.
         ring = _Ring(K, i)
         users = range(1, K + 1)
         terms = [SubpacketId(u, p) for u in users for p in users]
         cells = [ring.cell(t) for t in terms]
         assert sorted(cells) == list(range(K * K))
         assert list(ring.codeword(cells)) == terms
-        assert [ring.rank[c] for c in cells] == list(range(K * K))
         for c, (u, p) in zip(cells, terms):
+            assert c // K == ((p - u) % K - i) % K
+        n_owed = (K - i) * K
+        assert len(ring.adv) == len(ring.rank) == n_owed
+        for place, (c, (u, p)) in enumerate(zip(cells, terms)):
+            if c >= n_owed:
+                continue
+            assert ring.rank[c] == place
             assert ring.codeword([ring.adv[c]]) == ((u % K + 1, p % K + 1),)
             assert ring.adv[c] // K == c // K
-            assert ring.diag[c] == (p - u) % K
 
 
 class TestSweepNodeBudget:
@@ -996,22 +1053,14 @@ class TestSweepMatchesReference:
                 _solve_schedule, K, i, budget, caplog
             ) == sweep_outcome(reference_solve_schedule, K, i, budget, caplog), budget
 
-    def test_seeds_longer_than_the_arity(self, caplog):
-        # With a seed longer than the arity, the arity cap cuts short the
-        # owed cells an option appends next; no generated seed is that long.
-        rng = random.Random(8)
-        for _ in range(30):
-            K = rng.randrange(6, 14)
-            i = rng.randrange(K // 2 + 1, K)
-            users = range(1, K + 1)
-            cells = [SubpacketId(u, p) for u in users for p in users]
-            seed = rng.sample(cells, scheme_constants(instance(K, i)).arity + 2)
-            for budget in (50, 1000):
-                assert sweep_outcome(
-                    _solve_schedule, K, i, budget, caplog, seed
-                ) == sweep_outcome(
-                    reference_solve_schedule, K, i, budget, caplog, seed
-                ), (K, i, seed, budget)
+    @pytest.mark.parametrize("K,i", [(6, 4), (13, 10)])
+    def test_a_seed_longer_than_the_arity_is_rejected(self, K, i, caplog):
+        # The seed is one codeword: its arity terms, plus one owed cell.
+        params = instance(K, i)
+        seed = initial_codeword_terms(params)
+        extra = next(t for t in build_demand_list(params) if t not in seed)
+        with pytest.raises(ValueError, match="exceeds arity"):
+            sweep_outcome(_solve_schedule, K, i, 0, caplog, seed + [extra])
 
     def test_known_outcomes_are_not_expanded_again(self, caplog, monkeypatch):
         calls = spy_on_choices(monkeypatch)
@@ -1060,11 +1109,6 @@ class TestSweepMatchesReference:
             # commits 3 terms and leaves 9 owed cells for 2 codewords of 4,
             # while the seat (2,6) commits 4.
             ([(6, 5), (3, 2), (4, 6), (5, 3)], [(5, 3)], [(2, 6)]),
-            # The lead (4,2), (2,1) stops at the arity cap: seating on it or
-            # abandoning also appends ext, (3,1), which conflicts with it,
-            # while the seat (1,5) fills the codeword before ext.
-            ([(5, 4), (6, 1), (4, 2), (2, 1), (3, 1)], [(4, 2), (2, 1)],
-             [(1, 5)]),
         ],
     )
     def test_lead_seats_and_abandoning_fail_together(
@@ -1102,7 +1146,7 @@ class TestSweepMatchesReference:
     )
     @given(data=st.data())
     def test_random_seeds_and_budgets(self, caplog, data):
-        # Seeds of served and owed cells, longer or shorter than the arity.
+        # Seeds of served and owed cells, of one codeword at most.
         K = data.draw(st.integers(5, 14))
         i = data.draw(st.integers(K // 2 + 1, K - 1))
         arity = scheme_constants(instance(K, i)).arity
@@ -1110,7 +1154,7 @@ class TestSweepMatchesReference:
             SubpacketId, st.integers(1, K), st.integers(1, K)
         )
         seed = data.draw(
-            st.lists(cells, min_size=1, max_size=arity + 2, unique=True)
+            st.lists(cells, min_size=1, max_size=arity, unique=True)
         )
         budget = data.draw(st.integers(0, 3000))
         assert sweep_outcome(
@@ -1150,8 +1194,10 @@ def assert_matches_reference_until_it_ends(K, i, seed, caplog):
 
 
 @functools.lru_cache(maxsize=None)
-def bare_ring(K: int) -> _Ring:
-    return _Ring(K, K - 1)
+def sweep_steps(K: int) -> list[int]:
+    """The cell one sweep step after each of the K*K cells."""
+    ring = _Ring(K, K - 1)
+    return [ring.shift(c, 1) for c in range(K * K)]
 
 
 class TestFreeRun:
@@ -1160,14 +1206,13 @@ class TestFreeRun:
     def test_the_free_run_is_the_walked_run(self, data):
         # Every cell owed, or none claimed, gives long runs and full ones.
         K = data.draw(st.integers(3, 40))
-        ring = bare_ring(K)
         masks = st.integers(0, (1 << K * K) - 1)
         owed = data.draw(st.just((1 << K * K) - 1) | masks)
         claimed = data.draw(st.just(0) | masks)
         cell = data.draw(st.integers(0, K * K - 1))
         free = owed & ~claimed
         assert _free_run(free, cell, K) == reference_run_ahead(
-            cell, free, ring.adv, K
+            cell, free, sweep_steps(K), K
         )
 
 

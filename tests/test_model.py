@@ -55,6 +55,24 @@ class TestSystemParams:
         with pytest.raises(InstanceError):
             instance(6, -1)
 
+    @pytest.mark.parametrize(
+        "fields,name",
+        [
+            ((6, 6.0, 4), "n_users"),
+            ((6, 6, 4.0), "cache_units"),
+            ((6.5, 6, 4), "n_files"),
+            (("6", 6, 4), "n_files"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, fields, name):
+        with pytest.raises(InstanceError, match=f"^{name} is "):
+            SystemParams(*fields)
+
+    def test_integer_like_fields_are_stored_as_ints(self):
+        params = SystemParams(True, 6, 4)
+        assert params == instance(6, 4, N=1)
+        assert type(params.n_files) is int
+
     def test_memory_accounting(self):
         params = instance(6, 4)
         assert params.cache_fraction == Fraction(2, 3)

@@ -48,6 +48,19 @@ class TestCcdnParams:
         with pytest.raises(InstanceError):
             ccdn(10, 3, -1)
 
+    @pytest.mark.parametrize(
+        "fields,name",
+        [
+            ((10, 10.0, 6, 1), "n_users"),
+            ((10.5, 10, 6, 1), "n_files"),
+            ((10, 10, 6.0, 1), "access_degree"),
+            ((10, 10, 6, "1"), "cache_units"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, fields, name):
+        with pytest.raises(InstanceError, match=f"^{name} is "):
+            CcdnParams(*fields)
+
     def test_memory_is_per_cache(self):
         assert ccdn(10, 6, 1).memory == Fraction(1)
         assert ccdn(10, 3, 3, N=5).memory == Fraction(3, 2)
@@ -196,6 +209,14 @@ class TestRateBound:
         assert curve.evaluate("3/2") == Fraction(1, 2)
         with pytest.raises(InstanceError):
             curve.evaluate(-1)
+
+    @pytest.mark.parametrize("memory", ["abc", "1/0", None, float("inf")])
+    def test_a_memory_that_is_no_number_is_rejected(self, memory):
+        params = ccdn(10, 6, 1)
+        with pytest.raises(InstanceError, match="is not a number"):
+            ccdn_rate_bound_curve(params).evaluate(memory)
+        with pytest.raises(InstanceError, match="is not a number"):
+            ccdn_upper_bound(memory, params)
 
     def test_small_access_degree_is_out_of_regime(self):
         with pytest.raises(RegimeError):

@@ -47,6 +47,13 @@ class TestStructuralVerifier:
         assert report.decodable and report.coverage_ok
         assert report.violations == ()
 
+    def test_every_schedule_up_to_k_24_is_decodable(self):
+        # The 276 instances with 2 <= K <= 24 and 1 <= i <= K-1.
+        for K in range(2, 25):
+            for i in range(1, K):
+                schedule = generate_schedule(instance(K, i))
+                assert verify_instantaneous_decodability(schedule).ok, (K, i)
+
     def test_one_sided_codeword_is_flagged_at_the_blind_term(self):
         # User 3 caches packet 5, but user 1 does not cache packet 6: user 1
         # cannot cancel the companion, so the violation lands on (1, 5).
@@ -653,6 +660,13 @@ class TestPairOracle:
     def test_size_limit(self):
         with pytest.raises(InstanceError):
             min_pair_transmissions(instance(9, 2))
+
+    @pytest.mark.parametrize(
+        "demands", [(1, 2, 3), (1, 2, 3, 4, 7), (1, 2, 3, 4, "5")]
+    )
+    def test_an_invalid_demand_vector_is_rejected(self, demands):
+        with pytest.raises(InstanceError):
+            min_pair_transmissions(instance(5, 2), demands)
 
     def test_regime_bounds(self):
         with pytest.raises(RegimeError):
