@@ -238,18 +238,22 @@ def _assert_schedule_shape(schedule: TransmissionSchedule) -> None:
             f"{len(schedule.codewords)} transmissions instead of "
             f"{consts.n_transmissions}"
         )
-    if schedule.total_terms() != K * (K - i):
-        problems.append(
-            f"{schedule.total_terms()} terms instead of {K * (K - i)}"
-        )
+    n_terms = schedule.total_terms()
+    if n_terms != K * (K - i):
+        problems.append(f"{n_terms} terms instead of {K * (K - i)}")
     if consts is not None and any(
         not 1 <= len(cw) <= consts.arity for cw in schedule.codewords
     ):
         problems.append(f"codeword arity outside [1, {consts.arity}]")
-    served = [term for cw in schedule.codewords for term in cw]
-    if len(set(served)) != len(served) or set(served) != set(
-        build_demand_list(params)
-    ):
+    # The K(K-i) terms partition the demands when they give as many
+    # distinct owed cells (u-1)*K + p-1, those with p - u = i..K-1 (mod K).
+    served = {
+        (u - 1) * K + p - 1
+        for cw in schedule.codewords
+        for u, p in cw
+        if 1 <= u <= K and 1 <= p <= K and (p - u) % K >= i
+    }
+    if len(served) != K * (K - i) or n_terms != len(served):
         problems.append("served sub-packets do not partition the demands")
     if problems:
         detail = "; ".join(problems)
@@ -334,8 +338,9 @@ class _Ring:
 
     def codeword(self, cells: Iterable[int]) -> Codeword:
         K, i = self.n_users, self.cache_units
+        new, sid = tuple.__new__, SubpacketId
         return tuple(
-            SubpacketId(c % K + 1, (c + c // K + i) % K + 1) for c in cells
+            new(sid, (c % K + 1, (c + c // K + i) % K + 1)) for c in cells
         )
 
 
@@ -1292,20 +1297,24 @@ def closed_form_pairs(
         raise RegimeError(
             f"pairwise closed form covers 1 <= i <= K/2; got i={i}, K={K}"
         )
-    codewords: list[Codeword] = []
-    for k in range(1, (K - i) // 2 + 1):
-        for a in range(K):
-            codewords.append((
-                SubpacketId(wrap(1 + a, K), wrap(i + a + k, K)),
-                SubpacketId(wrap(1 + k + a, K), wrap(1 + a, K)),
-            ))
+    new, sid = tuple.__new__, SubpacketId
+    codewords: list[Codeword] = [
+        (
+            new(sid, (1 + a, (i + a + k - 1) % K + 1)),
+            new(sid, ((k + a) % K + 1, 1 + a)),
+        )
+        for k in range(1, (K - i) // 2 + 1)
+        for a in range(K)
+    ]
     if (K - i) % 2 == 1:
         mid, half = (K + i - 1) // 2, K // 2
-        for a in range(1, half + 1):
-            codewords.append((
-                SubpacketId(a, wrap(a + mid, K)),
-                SubpacketId(a + half, wrap(a + half + mid, K)),
-            ))
+        codewords += [
+            (
+                new(sid, (a, (a + mid - 1) % K + 1)),
+                new(sid, (a + half, (a + half + mid - 1) % K + 1)),
+            )
+            for a in range(1, half + 1)
+        ]
         if K % 2 == 1:
             codewords.append((SubpacketId(K, mid),))
     schedule = TransmissionSchedule(tuple(codewords), params)

@@ -53,18 +53,22 @@ class SubpacketId(NamedTuple):
 DemandVector = tuple[int, ...]
 
 
+def _as_int(name: str, value: object) -> int:
+    """``value`` through ``operator.index``, as :func:`validate_demand`
+    reads entries: 6.0 or "6" is no count."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InstanceError(
+            f"{name} is {value!r}, which is not an integer"
+        ) from None
+
+
 def _check_int_fields(params: object) -> None:
-    """Store every field of a frozen instance dataclass as an int, through
-    ``operator.index`` as :func:`validate_demand` does: 6.0 or "6" is no
-    count."""
+    """Store every field of a frozen instance dataclass as an int."""
     for field in fields(params):
-        value = getattr(params, field.name)
-        try:
-            object.__setattr__(params, field.name, operator.index(value))
-        except TypeError:
-            raise InstanceError(
-                f"{field.name} is {value!r}, which is not an integer"
-            ) from None
+        value = _as_int(field.name, getattr(params, field.name))
+        object.__setattr__(params, field.name, value)
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,10 @@ def build_demand_list(
     if demands is not None:
         validate_demand(params, demands)
     K, i = params.n_users, params.cache_units
+    # What ``SubpacketId._make`` does, without its Python frame per term.
+    new, sid = tuple.__new__, SubpacketId
     return [
-        SubpacketId(u, wrap(u + i + s, K))
+        new(sid, (u, (u + i + s - 1) % K + 1))
         for u in range(1, K + 1)
         for s in range(K - i)
     ]

@@ -4,7 +4,8 @@ Three independent ways to gain confidence in a schedule:
 
 * a structural check that every user appearing in a codeword caches all
   companion sub-packets (so each transmission is useful immediately) and
-  that the codewords partition exactly the demanded sub-packets;
+  that the codewords partition exactly the demanded sub-packets, on
+  per-user bitmasks of cached and sent packets;
 * an end-to-end simulation that XORs real bytes, decodes at every user from
   cache plus received transmissions only, and compares files bit for bit
   (it holds each sub-packet as the big-endian int of its bytes, so an int
@@ -28,6 +29,7 @@ from .model import (
     CacheLayout,
     SubpacketId,
     SystemParams,
+    _as_int,
     build_cache_layout,
     build_demand_list,
     validate_demand,
@@ -85,6 +87,12 @@ def verify_instantaneous_decodability(
     not demanded, and its decodability is not checked; nor is a companion
     checked against a packet outside 1..K.
 
+    Both checks work on per-user bitmasks over packets 1..K: the packets
+    each user caches, read once from the layout, and those it was sent.
+    A term passes at sight when its codeword's other packets all lie in
+    its user's mask and no packet repeats in the codeword; only a term
+    that fails that test walks its companions to word each violation.
+
     The layout defaults to the instance's own cyclic placement; passing an
     explicit one checks a schedule against a different cache topology (the
     multi-access view, for example).
@@ -92,74 +100,85 @@ def verify_instantaneous_decodability(
     if layout is None:
         layout = build_cache_layout(schedule.params)
     K = layout.n_users
-    violations: list[Violation] = []
-    for ci, cw in enumerate(schedule.codewords):
-        for u, p in cw:
-            if not (1 <= u <= K and 1 <= p <= K):
-                continue
-            for u2, p2 in cw:
-                if (u2, p2) == (u, p) or not 1 <= p2 <= K:
-                    continue
-                if not layout.knows(u, p2):
-                    violations.append(
-                        Violation(
-                            ci,
-                            SubpacketId(u, p),
-                            f"undecodable: user {u} does not cache packet "
-                            f"{p2} of companion term ({u2},{p2})",
-                        )
-                    )
-    expected = {
-        SubpacketId(u, p) for u in range(1, K + 1) for p in layout.missing(u)
-    }
-    first_seen: dict[SubpacketId, int] = {}
-    for ci, cw in enumerate(schedule.codewords):
+    known = [sum(1 << p for p in c if 1 <= p <= K) for c in layout.cached]
+    seen = [0] * K
+    undecodable: list[Violation] = []
+    coverage: list[Violation] = []
+    codewords = schedule.codewords
+    for ci, cw in enumerate(codewords):
+        packets = n = 0
+        for _, p in cw:
+            if 1 <= p <= K:
+                packets |= 1 << p
+                n += 1
+        repeats = packets.bit_count() != n
         for term in cw:
-            user, packet = term
-            if not 1 <= user <= K:
-                violations.append(
+            u, p = term
+            if not 1 <= u <= K:
+                coverage.append(
                     Violation(
-                        ci, term, f"not-demanded: user {user} is outside 1..{K}"
+                        ci, term, f"not-demanded: user {u} is outside 1..{K}"
                     )
                 )
-            elif not 1 <= packet <= K:
-                violations.append(
+                continue
+            if not 1 <= p <= K:
+                coverage.append(
+                    Violation(
+                        ci, term, f"not-demanded: packet {p} is outside 1..{K}"
+                    )
+                )
+                continue
+            mine, bit = known[u - 1], 1 << p
+            if repeats or packets & ~(mine | bit):
+                for u2, p2 in cw:
+                    if (u2, p2) == (u, p) or not 1 <= p2 <= K:
+                        continue
+                    if not mine >> p2 & 1:
+                        undecodable.append(
+                            Violation(
+                                ci,
+                                SubpacketId(u, p),
+                                f"undecodable: user {u} does not cache packet "
+                                f"{p2} of companion term ({u2},{p2})",
+                            )
+                        )
+            if seen[u - 1] & bit:
+                # The first transmission holding the term is where it was
+                # sent: nothing before it can have refused the term.
+                first = next(j for j, c in enumerate(codewords) if term in c)
+                coverage.append(
                     Violation(
                         ci,
                         term,
-                        f"not-demanded: packet {packet} is outside 1..{K}",
+                        f"duplicate: already sent in transmission {first}",
                     )
                 )
-            elif term in first_seen:
-                violations.append(
+            elif mine & bit:
+                coverage.append(
                     Violation(
                         ci,
                         term,
-                        f"duplicate: already sent in transmission "
-                        f"{first_seen[term]}",
-                    )
-                )
-            elif term not in expected:
-                violations.append(
-                    Violation(
-                        ci,
-                        term,
-                        f"not-demanded: user {user} already caches "
-                        f"packet {packet}",
+                        f"not-demanded: user {u} already caches packet {p}",
                     )
                 )
             else:
-                first_seen[term] = ci
-    for term in sorted(expected - set(first_seen)):
-        violations.append(
-            Violation(None, term, "missing: demanded sub-packet never sent")
-        )
-    decodable = not any(v.reason.startswith("undecodable") for v in violations)
-    coverage_ok = not any(
-        v.reason.startswith(("duplicate", "not-demanded", "missing"))
-        for v in violations
+                seen[u - 1] |= bit
+    full = (1 << K + 1) - 2
+    for u in range(1, K + 1):
+        left = full & ~known[u - 1] & ~seen[u - 1]
+        while left:
+            low = left & -left
+            left ^= low
+            coverage.append(
+                Violation(
+                    None,
+                    SubpacketId(u, low.bit_length() - 1),
+                    "missing: demanded sub-packet never sent",
+                )
+            )
+    return VerificationReport(
+        not undecodable, not coverage, tuple(undecodable + coverage)
     )
-    return VerificationReport(decodable, coverage_ok, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -174,6 +193,8 @@ class FileStore:
     n_subpackets: int
 
     def __post_init__(self) -> None:
+        n = _as_int("n_subpackets", self.n_subpackets)
+        object.__setattr__(self, "n_subpackets", n)
         if not self.files:
             raise InstanceError("file store needs at least one file")
         if self.n_subpackets < 1:
@@ -215,6 +236,7 @@ def random_file_store(
     params: SystemParams, seed: int, subpacket_size: int = 1
 ) -> FileStore:
     """A deterministic random library: N files of K*subpacket_size bytes."""
+    subpacket_size = _as_int("subpacket_size", subpacket_size)
     if subpacket_size < 1:
         raise InstanceError(
             f"sub-packets need at least one byte, got {subpacket_size}"

@@ -52,6 +52,7 @@ from cachecode.model import (
     SystemParams,
     build_cache_layout,
     build_demand_list,
+    wrap,
 )
 
 
@@ -499,6 +500,135 @@ class TestScheduleShape:
             generate_schedule(instance(13, 10))
 
 
+# The shape check before it worked on integer cells, kept verbatim as a
+# reference: `TestScheduleShapeMatchesReference` checks that both refuse the
+# same schedules with the same message.
+def reference_assert_schedule_shape(schedule) -> None:
+    params, consts = schedule.params, schedule.constants
+    K, i = params.n_users, params.cache_units
+    problems = []
+    if consts is not None and len(schedule.codewords) != consts.n_transmissions:
+        problems.append(
+            f"{len(schedule.codewords)} transmissions instead of "
+            f"{consts.n_transmissions}"
+        )
+    if schedule.total_terms() != K * (K - i):
+        problems.append(
+            f"{schedule.total_terms()} terms instead of {K * (K - i)}"
+        )
+    if consts is not None and any(
+        not 1 <= len(cw) <= consts.arity for cw in schedule.codewords
+    ):
+        problems.append(f"codeword arity outside [1, {consts.arity}]")
+    served = [term for cw in schedule.codewords for term in cw]
+    if len(set(served)) != len(served) or set(served) != set(
+        build_demand_list(params)
+    ):
+        problems.append("served sub-packets do not partition the demands")
+    if problems:
+        detail = "; ".join(problems)
+        raise ScheduleError(f"K={K}, i={i}: {detail}")
+
+
+@functools.lru_cache(maxsize=None)
+def generated(K: int, i: int):
+    return generate_schedule(instance(K, i))
+
+
+@st.composite
+def reshaped_schedules(draw):
+    """A generated schedule after a few tamperings: dropped, emptied and
+    split codewords, terms swapped, moved or duplicated, terms outside the
+    grid or cached by their user, and plain-tuple terms."""
+    K = draw(st.integers(2, 12))
+    schedule = generated(K, draw(st.integers(1, K)))
+    i = schedule.params.cache_units
+    codewords = [list(cw) for cw in schedule.codewords]
+
+    def pick(seq) -> int:
+        return draw(st.integers(0, len(seq) - 1))
+
+    def add(term) -> None:
+        """Put the term in place of one, into a codeword, or alone."""
+        at = draw(st.integers(0, len(codewords)))
+        if at == len(codewords):
+            codewords.append([term])
+        elif codewords[at] and draw(st.booleans()):
+            codewords[at][pick(codewords[at])] = term
+        else:
+            codewords[at].insert(draw(st.integers(0, len(codewords[at]))), term)
+
+    kinds = [
+        "drop", "empty", "split", "swap", "move", "duplicate", "outside",
+        "cached", "plain",
+    ]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        cw = codewords[pick(codewords)] if codewords else []
+        if kind == "empty":
+            codewords.insert(draw(st.integers(0, len(codewords))), [])
+        elif kind == "outside":
+            u = draw(st.integers(-1, K + 1))
+            outside = st.sampled_from([-1, 0, K + 1])
+            add(SubpacketId(u, draw(outside if 1 <= u <= K else st.integers(-1, K + 1))))
+        elif kind == "cached":
+            u = draw(st.integers(1, K))
+            add(SubpacketId(u, wrap(u + draw(st.integers(0, i - 1)), K)))
+        elif not cw:
+            continue
+        elif kind == "drop":
+            codewords.remove(cw)
+        elif kind == "split":
+            at = pick(cw)
+            codewords.append(cw[at:])
+            del cw[at:]
+        elif kind == "swap":
+            other = codewords[pick(codewords)]
+            if other:
+                x, y = pick(cw), pick(other)
+                cw[x], other[y] = other[y], cw[x]
+        elif kind == "move":
+            codewords[pick(codewords)].append(cw.pop(pick(cw)))
+        elif kind == "duplicate":
+            add(cw[pick(cw)])
+        else:
+            cw[:] = [tuple(term) for term in cw]
+    return dataclasses.replace(schedule, codewords=tuple(map(tuple, codewords)))
+
+
+def shape_problem(check, schedule) -> str | None:
+    """The message a shape check refuses the schedule with, or None."""
+    try:
+        check(schedule)
+    except ScheduleError as err:
+        return str(err)
+    return None
+
+
+class TestScheduleShapeMatchesReference:
+    @settings(max_examples=400, derandomize=True)
+    @given(reshaped_schedules())
+    def test_tampered_schedules(self, schedule):
+        assert shape_problem(delivery._assert_schedule_shape, schedule) == (
+            shape_problem(reference_assert_schedule_shape, schedule)
+        )
+
+    @pytest.mark.parametrize(
+        "term", [(0, 5), (7, 5), (1, 0), (1, 7), (1, -5), (2, 2)]
+    )
+    def test_a_term_outside_the_grid_or_cached_replaces_a_demand(self, term):
+        # K=6, i=4: (1, 5) is owed; the stray term takes its place, so the
+        # counts hold and only the partition fails.
+        schedule = generated(6, 4)
+        codewords = [
+            tuple(SubpacketId(*term) if t == (1, 5) else t for t in cw)
+            for cw in schedule.codewords
+        ]
+        copy = dataclasses.replace(schedule, codewords=tuple(codewords))
+        message = "K=6, i=4: served sub-packets do not partition the demands"
+        assert shape_problem(delivery._assert_schedule_shape, copy) == message
+        assert shape_problem(reference_assert_schedule_shape, copy) == message
+
+
 def sweep(params: SystemParams) -> list[Codeword] | None:
     """The sweep search alone, with the budget ``generate_schedule`` sets."""
     return _solve_schedule(
@@ -526,6 +656,33 @@ class TestClosedFormPairs:
     def test_first_emitted_pair(self):
         schedule = closed_form_pairs(instance(6, 2))
         assert schedule.codewords[0] == (SubpacketId(1, 3), SubpacketId(2, 1))
+
+    def test_terms_follow_the_wrapped_formula(self):
+        # Every pair-regime instance with K <= 40, against the families
+        # written with wrap.
+        for K in range(2, 41):
+            for i in range(1, K // 2 + 1):
+                expected = [
+                    (SubpacketId(wrap(1 + a, K), wrap(i + a + k, K)),
+                     SubpacketId(wrap(1 + k + a, K), wrap(1 + a, K)))
+                    for k in range(1, (K - i) // 2 + 1)
+                    for a in range(K)
+                ]
+                if (K - i) % 2 == 1:
+                    mid, half = (K + i - 1) // 2, K // 2
+                    expected += [
+                        (SubpacketId(a, wrap(a + mid, K)),
+                         SubpacketId(a + half, wrap(a + half + mid, K)))
+                        for a in range(1, half + 1)
+                    ]
+                    if K % 2 == 1:
+                        expected.append((SubpacketId(K, mid),))
+                codewords = closed_form_pairs(instance(K, i)).codewords
+                assert codewords == tuple(expected), (K, i)
+                assert [(t.user, t.packet) for cw in codewords for t in cw] == [
+                    tuple(t) for cw in expected for t in cw
+                ]
+                assert all(type(t) is SubpacketId for cw in codewords for t in cw)
 
     def test_regime_bounds(self):
         with pytest.raises(RegimeError):

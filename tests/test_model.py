@@ -130,6 +130,20 @@ class TestDemandList:
     def test_full_cache_demands_nothing(self):
         assert build_demand_list(instance(5, 5)) == []
 
+    def test_packets_follow_the_wrapped_formula(self):
+        # Every instance with K <= 40 and 1 <= i <= K-1, term by term.
+        for K in range(2, 41):
+            for i in range(1, K):
+                expected = [
+                    (u, wrap(u + i + s, K))
+                    for u in range(1, K + 1)
+                    for s in range(K - i)
+                ]
+                demands = build_demand_list(instance(K, i))
+                assert [(t.user, t.packet) for t in demands] == expected, (K, i)
+                assert demands == [SubpacketId(*t) for t in expected]
+                assert all(type(t) is SubpacketId for t in demands)
+
     def test_demand_vector_is_validated_but_does_not_change_the_list(self):
         params = instance(6, 4)
         assert build_demand_list(params, (1,) * 6) == build_demand_list(params)

@@ -2,12 +2,15 @@
 store, end-to-end XOR simulation (against a byte-level reference), and the
 exact pair-schedule oracle."""
 
+import functools
 import itertools
 import logging
 import random
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecode import verify
 from cachecode.delivery import TransmissionSchedule, generate_schedule
@@ -24,6 +27,8 @@ from cachecode.model import (
 from cachecode.multiaccess import CcdnParams, ccdn_schedule, ccdn_user_view
 from cachecode.verify import (
     FileStore,
+    VerificationReport,
+    Violation,
     min_pair_transmissions,
     random_file_store,
     simulate_end_to_end,
@@ -167,6 +172,199 @@ class TestStructuralVerifier:
         assert not verify_instantaneous_decodability(schedule, layout=foreign).ok
 
 
+# The verifier that the bitmask one replaced, kept verbatim as a reference:
+# `TestVerifierMatchesReference` checks that both give the same report,
+# violations in order, on tampered schedules.
+def reference_verify(
+    schedule: TransmissionSchedule, layout: CacheLayout | None = None
+) -> VerificationReport:
+    if layout is None:
+        layout = build_cache_layout(schedule.params)
+    K = layout.n_users
+    violations: list[Violation] = []
+    for ci, cw in enumerate(schedule.codewords):
+        for u, p in cw:
+            if not (1 <= u <= K and 1 <= p <= K):
+                continue
+            for u2, p2 in cw:
+                if (u2, p2) == (u, p) or not 1 <= p2 <= K:
+                    continue
+                if not layout.knows(u, p2):
+                    violations.append(
+                        Violation(
+                            ci,
+                            SubpacketId(u, p),
+                            f"undecodable: user {u} does not cache packet "
+                            f"{p2} of companion term ({u2},{p2})",
+                        )
+                    )
+    expected = {
+        SubpacketId(u, p) for u in range(1, K + 1) for p in layout.missing(u)
+    }
+    first_seen: dict[SubpacketId, int] = {}
+    for ci, cw in enumerate(schedule.codewords):
+        for term in cw:
+            user, packet = term
+            if not 1 <= user <= K:
+                violations.append(
+                    Violation(
+                        ci, term, f"not-demanded: user {user} is outside 1..{K}"
+                    )
+                )
+            elif not 1 <= packet <= K:
+                violations.append(
+                    Violation(
+                        ci,
+                        term,
+                        f"not-demanded: packet {packet} is outside 1..{K}",
+                    )
+                )
+            elif term in first_seen:
+                violations.append(
+                    Violation(
+                        ci,
+                        term,
+                        f"duplicate: already sent in transmission "
+                        f"{first_seen[term]}",
+                    )
+                )
+            elif term not in expected:
+                violations.append(
+                    Violation(
+                        ci,
+                        term,
+                        f"not-demanded: user {user} already caches "
+                        f"packet {packet}",
+                    )
+                )
+            else:
+                first_seen[term] = ci
+    for term in sorted(expected - set(first_seen)):
+        violations.append(
+            Violation(None, term, "missing: demanded sub-packet never sent")
+        )
+    decodable = not any(v.reason.startswith("undecodable") for v in violations)
+    coverage_ok = not any(
+        v.reason.startswith(("duplicate", "not-demanded", "missing"))
+        for v in violations
+    )
+    return VerificationReport(decodable, coverage_ok, tuple(violations))
+
+
+@functools.lru_cache(maxsize=None)
+def schedule_and_layout(K: int, i: int, L: int | None = None):
+    """A generated schedule and the layout to check it against: the cyclic
+    placement, or the users' views of multi-access point (K, L, i)."""
+    if L is None:
+        schedule = generate_schedule(instance(K, i))
+        return schedule, build_cache_layout(schedule.params)
+    point = CcdnParams(n_files=K, n_users=K, access_degree=L, cache_units=i)
+    return ccdn_schedule(point), ccdn_user_view(point)
+
+
+def same_report(schedule: TransmissionSchedule, layout=None) -> VerificationReport:
+    """Both verifiers' report, after asserting that they agree, term types
+    included."""
+    new = verify_instantaneous_decodability(schedule, layout)
+    old = reference_verify(schedule, layout)
+    assert new == old
+    assert [type(v.term) for v in new.violations] == [
+        type(v.term) for v in old.violations
+    ]
+    return new
+
+
+@st.composite
+def tampered_schedules(draw):
+    """(schedule, layout) for a generated schedule after a few tamperings:
+    dropped codewords, swapped terms, duplicated terms, terms with a user or
+    packet outside 1..K, terms the user caches, a packet repeated inside one
+    codeword, and plain-tuple terms.  The layout is None for the cyclic
+    placement, so the verifiers build their own."""
+    key = draw(
+        st.one_of(
+            st.integers(2, 12).flatmap(
+                lambda K: st.tuples(st.just(K), st.integers(1, K))
+            ),
+            # Multi-access points (K, i, L), checked against the users' views.
+            st.sampled_from([(10, 1, 6), (10, 3, 3), (9, 2, 4), (12, 1, 7)]),
+        )
+    )
+    schedule, layout = schedule_and_layout(*key)
+    K = layout.n_users
+    codewords = [list(cw) for cw in schedule.codewords]
+
+    def pick(seq) -> int:
+        return draw(st.integers(0, len(seq) - 1))
+
+    def add(term) -> None:
+        """Put the term in place of one, into a codeword, or alone."""
+        at = draw(st.integers(0, len(codewords)))
+        if at == len(codewords):
+            codewords.append([term])
+        elif codewords[at] and draw(st.booleans()):
+            codewords[at][pick(codewords[at])] = term
+        else:
+            codewords[at].insert(draw(st.integers(0, len(codewords[at]))), term)
+
+    kinds = ["drop", "swap", "duplicate", "outside", "cached", "repeat", "plain"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        cw = codewords[pick(codewords)] if codewords else []
+        if kind == "outside":
+            u = draw(st.integers(-1, K + 1))
+            outside = st.sampled_from([-1, 0, K + 1])
+            add(SubpacketId(u, draw(outside if 1 <= u <= K else st.integers(-1, K + 1))))
+        elif kind == "cached":
+            u = draw(st.integers(1, K))
+            cached = sorted(layout.cached[u - 1])
+            if cached:
+                add(SubpacketId(u, draw(st.sampled_from(cached))))
+        elif not cw:
+            continue
+        elif kind == "drop":
+            codewords.remove(cw)
+        elif kind == "swap":
+            other = codewords[pick(codewords)]
+            if other:
+                x, y = pick(cw), pick(other)
+                cw[x], other[y] = other[y], cw[x]
+        elif kind == "duplicate":
+            add(cw[pick(cw)])
+        elif kind == "repeat":
+            packet = cw[pick(cw)][1]
+            cw.insert(pick(cw) + 1, SubpacketId(draw(st.integers(1, K)), packet))
+        else:
+            cw[:] = [tuple(term) for term in cw]
+    layout = layout if len(key) == 3 else None
+    return schedule_with(schedule.params, codewords), layout
+
+
+class TestVerifierMatchesReference:
+    @settings(max_examples=400, derandomize=True)
+    @given(tampered_schedules())
+    def test_tampered_schedules(self, case):
+        same_report(*case)
+
+    @pytest.mark.parametrize("K,i,at", [(2, 1, 0), (6, 4, 1), (10, 3, 7)])
+    def test_a_packet_repeated_in_one_codeword(self, K, i, at):
+        # A second user's term on a demanded packet of the codeword: the
+        # first term's user does not cache that packet, though every other
+        # packet of the codeword is one it caches.
+        schedule, layout = schedule_and_layout(K, i)
+        codewords = [list(cw) for cw in schedule.codewords]
+        u, p = codewords[at][0]
+        u2 = u % K + 1
+        codewords[at].append(SubpacketId(u2, p))
+        report = same_report(schedule_with(schedule.params, codewords))
+        assert not report.decodable
+        assert report.violations[0] == (
+            at,
+            SubpacketId(u, p),
+            f"undecodable: user {u} does not cache packet {p} of companion "
+            f"term ({u2},{p})",
+        )
+
+
 class TestFileStore:
     def test_slicing(self):
         store = FileStore(files=(b"abcdef", b"ghijkl"), n_subpackets=3)
@@ -206,6 +404,34 @@ class TestFileStore:
     def test_rejects_fewer_than_one_subpacket(self, n_subpackets):
         with pytest.raises(InstanceError, match="at least one sub-packet"):
             FileStore(files=(b"abcd",), n_subpackets=n_subpackets)
+
+    @pytest.mark.parametrize("n_subpackets", [2.0, 4.0, "3", None])
+    def test_rejects_a_count_that_is_not_an_integer(self, n_subpackets):
+        with pytest.raises(InstanceError) as err:
+            FileStore(files=(b"abcd",), n_subpackets=n_subpackets)
+        assert str(err.value) == (
+            f"n_subpackets is {n_subpackets!r}, which is not an integer"
+        )
+
+    def test_an_integer_like_count_is_stored_as_an_int(self):
+        store = FileStore(files=(b"ab",), n_subpackets=True)
+        assert type(store.n_subpackets) is int
+        assert store.subpacket(1, 1) == b"ab"
+
+    def test_a_float_count_never_reaches_the_simulator(self):
+        # 4.0 == 4 would pass the simulator's check against K = 4.
+        params = instance(4, 2)
+        files = random_file_store(params, seed=1).files
+        with pytest.raises(InstanceError, match="n_subpackets is 4.0"):
+            simulate_end_to_end(params, range(1, 5), FileStore(files, 4.0))
+
+    @pytest.mark.parametrize("size", [2.0, "3", None])
+    def test_random_store_rejects_a_size_that_is_not_an_integer(self, size):
+        with pytest.raises(InstanceError) as err:
+            random_file_store(instance(4, 2), seed=1, subpacket_size=size)
+        assert str(err.value) == (
+            f"subpacket_size is {size!r}, which is not an integer"
+        )
 
     def test_random_store_is_seed_deterministic(self):
         params = instance(6, 4, N=4)
