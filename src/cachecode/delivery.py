@@ -390,8 +390,9 @@ def _replacement_choices(
     allowed: int,
     steps_left: int,
     walk: int,
-) -> list[tuple[int | None, int] | int]:
-    """Ordered placement options for a term whose advance was already served.
+    lost: bool,
+) -> tuple[list[tuple[int, int | None, int]], int]:
+    """Placement options for a term whose advance was already served.
 
     The four local rules of :func:`_rule_cells` come first, each only if
     the cell it lands on is owed and fits the codeword.  Once a rule has
@@ -405,28 +406,26 @@ def _replacement_choices(
 
     ``owed`` is the owed-cell mask, one K-bit field per diagonal (see
     :class:`_Ring`), and ``allowed`` the cells compatible with every term
-    of ``partial``.  ``walk`` holds the seats the sweep must walk (see
-    :func:`_solve_schedule`); every other seat's walk is known to fail
-    before the next decision.  When no rescue seat is in ``walk``, the
-    rescues are given as their count instead of in ranked order.
+    of ``partial``.  Only the seats in ``walk``, and abandoning unless
+    ``lost``, are worth walking (see :func:`_solve_schedule`); every other
+    option fails before the next decision.  Returns those worth walking,
+    newest last, as (cost, seat or None, flag), the cost counting the
+    option and the failing ones just before it; and the cost of the
+    options after the last one walked.  Rescues are ranked only when one
+    of them is walked.
     """
     K = ring.n_users
-    choices: list[tuple[int | None, int] | int] = []
+    tried: list[tuple[int, int]] = []
     seen = 0
     fits = owed & allowed
     moves = _rule_cells(dead, K)
     for k in _RULE_ORDER[flag]:
         cand = moves[k - 1]
         if fits >> cand & 1 and not seen >> cand & 1:
-            choices.append((cand, k))
+            tried.append((cand, k))
             seen |= 1 << cand
     seats = fits & ~seen
-    if not seats & walk:
-        if seats:
-            choices.append(seats.bit_count())
-    elif not seats & seats - 1:
-        choices.append((seats.bit_length() - 1, 0))
-    else:
+    if seats & walk:
         row = (1 << K) - 1
         free = owed
         committed = [0] * K
@@ -440,9 +439,23 @@ def _replacement_choices(
             fit = abs(_free_run(free, cell, K) - steps_left)
             rescue.append((-need, fit, ring.rank[cell], cell))
         rescue.sort()
-        choices.extend((cell, 0) for _, _, _, cell in rescue)
-    choices.append((None, flag))
-    return choices
+        tried.extend((cell, 0) for _, _, _, cell in rescue)
+    options: list[tuple[int, int | None, int]] = []
+    cost = 1
+    for seat, k in tried:
+        if walk >> seat & 1:
+            options.append((cost, seat, k))
+            cost = 1
+        else:
+            cost += 1
+    if not seats & walk:
+        # The rescues, none of them walked, after the rules.
+        cost += seats.bit_count()
+    if not lost:
+        options.append((cost, None, flag))
+        cost = 0
+    options.reverse()
+    return options, cost
 
 
 def _overfull(left: int, steps: int, ring: _Ring) -> list[tuple[int, int]]:
@@ -1011,16 +1024,21 @@ def _solve_schedule(
     against the whole codeword under construction, so the result is
     instantaneously decodable by construction.
 
-    Work whose outcome is already known is counted, not done.  A decision
-    whose state (owed cells, commit count, the queue left, partial codeword,
-    flag) was searched to exhaustion before costs the decisions spent on it
-    then.  An option whose walk fails on the next owed cells of the queue,
-    or on the counting bounds of the commit right after them, costs one
-    decision without being walked; seating on one of those cells and
-    abandoning reach the same cells and share one check.  A decision with
-    no option to walk costs all of its options at once, unranked.  The
-    decision count, the budget and the schedule found are those of the
-    plain search.
+    Work whose outcome is already known is counted, not done, and only
+    backtracking counts.  An option fails before the next decision when
+    its walk fails on the next owed cells of the queue, or on the counting
+    bounds of the commit right after them; seating on one of those cells
+    and abandoning reach the same cells and share one check.  Every
+    decision is pushed as a record of the options worth walking, each
+    costing itself and the failing options just before it, and of the
+    cost of the options after them.  Backtracking pops the next option and
+    adds its cost, or, when none is left, adds the rest, retires the
+    record and remembers what the decision spent.  A decision whose state
+    (owed cells, commit count, the queue left, partial codeword, flag) was
+    searched to exhaustion before, and one with no option to walk, are
+    records with no options: the first costs what it spent then, the
+    second all of its options, unranked.  The decision count, the budget
+    and the schedule found are those of the plain search.
 
     Returns None when the search space is exhausted or ``node_budget``
     replacement decisions were spent without completing a schedule.
@@ -1050,52 +1068,43 @@ def _solve_schedule(
     flag = 0
     pos = 0
     # Open replacement decisions: (key, decisions spent before it, allowed,
-    # walk, lost, untried options newest last).  The key is (owed, commit
-    # count, the queue from the served term on, partial, flag), which fixes
-    # all of the search below the decision, so backtracking restores the
-    # search state from the key and the record.
-    decisions: list[tuple[tuple, int, int, int, bool, list]] = []
+    # the options left to walk newest last, the cost after them).  The key
+    # is (owed, commit count, the queue from the served term on, partial,
+    # flag), which fixes all of the search below the decision, so
+    # backtracking restores the search state from the key and the record.
+    decisions: list[tuple[tuple, int, int, list, int]] = []
     # Decisions spent below each decision searched to exhaustion, by key.
     # Backtracking inside a decision restores only records made inside it,
     # and a key never recurs on its own path (the queue left shrinks within
     # a codeword, the commit count grows across codewords), so a recurring
     # key would spend exactly as much again and find nothing.
     dead: dict[tuple, int] = {}
+    # Decisions spent; only backtracking adds to it.
     nodes = 0
     # Set when the walk fails: the search resumes at the next option worth
-    # walking, or stops once the budget is spent.  Seating a term outside
-    # walk, or abandoning it when lost, fails before the next decision: it
-    # costs one decision and is not walked.  An int option stands for that
-    # many such rescue seats.
+    # walking, or stops once the budget is spent.
     stuck = False
 
     while True:
         while stuck and nodes <= node_budget:
             if not decisions:
                 return None
-            key, start, allowed, walk, lost, options = decisions[-1]
-            while options and nodes <= node_budget:
-                option = options.pop()
-                if option.__class__ is int:
-                    nodes += option
-                    continue
-                nodes += 1
-                term, flag = option
-                if lost if term is None else not walk >> term & 1:
-                    continue
-                owed, n_committed, queue, part, _ = key
-                del codewords[n_committed:]
-                partial = list(part)
-                if term is not None:
-                    partial.append(term)
-                    allowed &= compat[term]
-                pos = 1
-                stuck = False
-                break
-            else:
-                if not options:
-                    decisions.pop()
-                    dead[key] = nodes - start
+            key, start, allowed, options, rest = decisions[-1]
+            if not options:
+                nodes += rest
+                decisions.pop()
+                dead[key] = nodes - start
+                continue
+            cost, term, flag = options.pop()
+            nodes += cost
+            owed, n_committed, queue, part, _ = key
+            del codewords[n_committed:]
+            partial = list(part)
+            if term is not None:
+                partial.append(term)
+                allowed &= compat[term]
+            pos = 1
+            stuck = False
         if nodes > node_budget:
             # The plain search stops at the first decision past the budget.
             log.debug(
@@ -1152,10 +1161,11 @@ def _solve_schedule(
                 pos = len(queue)
                 continue
         key = (owed, len(codewords), queue[pos:], tuple(partial), flag)
+        # Every decision becomes a record, which the search backtracks into.
+        stuck = True
         spent = dead.get(key)
         if spent is not None:
-            nodes += spent
-            stuck = True
+            decisions.append((key, nodes, allowed, [], spent))
             continue
         # lead: the owed cells a seat outside it appends next, up to the
         # first cell not owed or the end of the queue (a queue holds one
@@ -1206,24 +1216,13 @@ def _solve_schedule(
         if lost and not fits & walk:
             # Nothing to walk: the decision costs its rule seats and
             # rescues, which are the owed cells that fit, and abandoning.
-            spent = fits.bit_count() + 1
-            nodes += spent
-            dead[key] = spent
-            stuck = True
+            decisions.append((key, nodes, allowed, [], fits.bit_count() + 1))
             continue
-        options = _replacement_choices(
-            cand,
-            flag,
-            ring,
-            owed,
-            partial,
-            allowed,
-            budget - len(codewords),
-            walk,
+        options, rest = _replacement_choices(
+            cand, flag, ring, owed, partial, allowed, budget - len(codewords),
+            walk, lost,
         )
-        options.reverse()
-        decisions.append((key, nodes, allowed, walk, lost, options))
-        stuck = True
+        decisions.append((key, nodes, allowed, options, rest))
 
 
 def generate_schedule(

@@ -133,7 +133,8 @@ def build_cache_layout(params: SystemParams) -> CacheLayout:
     """Cyclic placement: user k holds packets {k, k+1, ..., k+i-1} (wrapped)."""
     K, i = params.n_users, params.cache_units
     sets = tuple(
-        frozenset(wrap(k + j, K) for j in range(i)) for k in range(1, K + 1)
+        frozenset([(k + j - 1) % K + 1 for j in range(i)])
+        for k in range(1, K + 1)
     )
     return CacheLayout(sets)
 

@@ -2,12 +2,14 @@
 formats, exit codes, and byte determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
 
+from cachecode import cli
 from cachecode.cli import main
 from cachecode.errors import ScheduleError
 
@@ -70,6 +72,30 @@ class TestScheduleCommand:
         assert payload["verification"]["decodable"]
         assert payload["verification"]["coverage_ok"]
         assert payload["verification"]["violations"] == []
+
+    def test_failed_verification_exits_one(self, capsys, monkeypatch):
+        # One term swapped between the first two codewords keeps every
+        # demand served once, but no longer decodable on sight.
+        real = cli.generate_schedule
+
+        def swapped(*args, **kwargs):
+            schedule = real(*args, **kwargs)
+            first, second, *rest = schedule.codewords
+            first, second = (
+                (second[0],) + first[1:], (first[0],) + second[1:]
+            )
+            return dataclasses.replace(
+                schedule, codewords=(first, second, *rest)
+            )
+
+        monkeypatch.setattr(cli, "generate_schedule", swapped)
+        code, payload = run_json(
+            capsys, "schedule", "--K", "6", "--i", "4", "--verify"
+        )
+        assert code == 1
+        assert not payload["verification"]["decodable"]
+        assert payload["verification"]["coverage_ok"]
+        assert payload["verification"]["violations"]
 
     def test_explicit_and_seeded_demands(self, capsys):
         code, payload = run_json(

@@ -54,6 +54,7 @@ from cachecode.model import (
     build_demand_list,
     wrap,
 )
+from cachecode.verify import verify_instantaneous_decodability
 
 
 def instance(K: int, i: int, N: int | None = None) -> SystemParams:
@@ -306,13 +307,15 @@ class TestReplacementRules:
 
 
 class TestReplacementChoices:
-    """The placement options of a served term, on K=6, i=4."""
+    """The placement options of a served term, on K=6, i=4: those worth
+    walking in the order tried, as (cost, term or None, flag), and the cost
+    of the options after the last one walked."""
 
     def setup_method(self):
         self.ring = _Ring(6, 4)
         self.owed = set(build_demand_list(instance(6, 4)))
 
-    def choices(self, dead, flag, owed=None, lead=(), doomed=False):
+    def choices(self, dead, flag, owed=None, lead=(), doomed=False, lost=False):
         ring = self.ring
         cells = [ring.cell(t) for t in (self.owed if owed is None else owed)]
         # The seats the sweep walks: those in the lead and, unless it is
@@ -321,72 +324,86 @@ class TestReplacementChoices:
         for t in lead:
             fit &= ring.compat[ring.cell(t)]
         walk = sum(1 << ring.cell(t) for t in lead) | (0 if doomed else fit)
-        options = _replacement_choices(
+        options, rest = _replacement_choices(
             ring.cell(dead), flag, ring, sum(1 << c for c in cells), [],
-            _ANY_CELL, 3, walk,
+            _ANY_CELL, 3, walk, lost,
         )
-        return [
-            option if isinstance(option, int)
-            else (
-                None if option[0] is None else ring.codeword([option[0]])[0],
-                option[1],
-            )
-            for option in options
+        tried = [
+            (cost, None if seat is None else ring.codeword([seat])[0], k)
+            for cost, seat, k in reversed(options)
         ]
+        return tried, rest
 
     def test_unset_flag_tries_the_rules_in_order(self):
         # (1,4) is cached by user 1; rules 2 and 4 land on cached cells.
-        options = self.choices(SubpacketId(1, 4), 0)
-        assert options[:2] == [(SubpacketId(1, 5), 1), (SubpacketId(6, 4), 3)]
+        options, _ = self.choices(SubpacketId(1, 4), 0)
+        assert options[:2] == [
+            (1, SubpacketId(1, 5), 1), (1, SubpacketId(6, 4), 3)
+        ]
 
     def test_rules_landing_on_served_cells_are_skipped(self):
         served = SubpacketId(1, 5)
-        options = self.choices(SubpacketId(1, 4), 0, self.owed - {served})
-        assert options[0] == (SubpacketId(6, 4), 3)
-        assert (served, 1) not in options
+        options, _ = self.choices(SubpacketId(1, 4), 0, self.owed - {served})
+        assert options[0] == (1, SubpacketId(6, 4), 3)
+        assert all(term != served for _, term, _ in options)
 
     @pytest.mark.parametrize(
         "flag,first", [(1, (SubpacketId(4, 2), 2)), (3, (SubpacketId(3, 1), 4))]
     )
     def test_a_set_flag_tries_its_partner_rule_first(self, flag, first):
-        assert self.choices(SubpacketId(3, 2), flag)[0] == first
+        options, _ = self.choices(SubpacketId(3, 2), flag)
+        assert options[0] == (1, *first)
 
     def test_rescues_follow_the_rules_and_abandoning_comes_last(self):
-        options = self.choices(SubpacketId(1, 4), 0)
-        seats = [term for term, _ in options[:-1]]
+        options, rest = self.choices(SubpacketId(1, 4), 0)
+        seats = [term for _, term, _ in options[:-1]]
         assert len(seats) == len(set(seats)) == len(self.owed)
-        assert all(k == 0 for _, k in options[2:-1])
-        assert options[-1] == (None, 0)
+        assert all(cost == 1 for cost, _, _ in options)
+        assert all(k == 0 for _, _, k in options[2:-1])
+        assert options[-1] == (1, None, 0)
+        assert rest == 0
 
     def test_nothing_owed_leaves_only_abandoning(self):
-        assert self.choices(SubpacketId(1, 4), 2, set()) == [(None, 2)]
+        assert self.choices(SubpacketId(1, 4), 2, set()) == ([(1, None, 2)], 0)
+
+    def test_abandoning_when_lost_is_the_rest(self):
+        ranked, _ = self.choices(SubpacketId(1, 4), 0)
+        assert self.choices(SubpacketId(1, 4), 0, lost=True) == (ranked[:-1], 1)
 
     def test_rescues_that_all_fail_on_the_lead_are_counted(self):
-        # Doomed lead cells fail every seat outside them: the rescues
-        # become their count, between the rules and abandoning.
-        ranked = self.choices(SubpacketId(1, 4), 0)
+        # Doomed lead cells fail every seat outside them: the rule seat
+        # (6,4) and the rescues, unranked, add to abandoning's cost.
+        ranked, _ = self.choices(SubpacketId(1, 4), 0)
         counted = self.choices(
             SubpacketId(1, 4), 0, lead=[SubpacketId(1, 5)], doomed=True
         )
-        assert counted == ranked[:2] + [len(ranked) - 3, (None, 0)]
+        assert counted == ([ranked[0], (len(ranked) - 1, None, 0)], 0)
+        lost = self.choices(
+            SubpacketId(1, 4), 0, lead=[SubpacketId(1, 5)], doomed=True,
+            lost=True,
+        )
+        assert lost == ([ranked[0]], len(ranked) - 1)
 
     def test_a_lead_cell_conflicting_with_every_seat_counts_them(self):
-        # Besides the two rule seats only (1,6), (2,6) and (6,5) are owed,
-        # and each conflicts with the lead cell (1,5).
+        # Besides the two rule seats only (1,6), (2,6) and (6,5) are owed.
+        # Each of them, and the rule seat (6,4), conflicts with the lead
+        # cell (1,5): the four add to abandoning's cost.
         owed = {
             SubpacketId(u, p) for u, p in [(1, 5), (1, 6), (2, 6), (6, 4), (6, 5)]
         }
-        ranked = self.choices(SubpacketId(1, 4), 0, owed)
+        ranked, _ = self.choices(SubpacketId(1, 4), 0, owed)
         assert len(ranked) == 6
         counted = self.choices(SubpacketId(1, 4), 0, owed, lead=[SubpacketId(1, 5)])
-        assert counted == ranked[:2] + [3, (None, 0)]
+        assert counted == ([ranked[0], (5, None, 0)], 0)
 
     def test_a_rescue_seat_inside_the_lead_keeps_the_ranking(self):
-        ranked = self.choices(SubpacketId(1, 4), 0)
-        seat = ranked[2][0]
+        # Only the fifth option, a rescue, is walked besides abandoning: it
+        # costs the four ranked before it, and abandoning the rest.
+        ranked, _ = self.choices(SubpacketId(1, 4), 0)
+        seat = ranked[4][1]
         assert self.choices(
             SubpacketId(1, 4), 0, lead=[seat], doomed=True
-        ) == ranked
+        ) == ([(5, seat, 0), (len(ranked) - 5, None, 0)], 0)
 
 
 class TestGenerateSchedule:
@@ -1743,6 +1760,40 @@ class TestTilingGuards:
         ring = self.ring(25, 18)
         monkeypatch.setattr(delivery, "_orbit_base", refuse("_orbit_base"))
         assert _spaced_run_cover(ring.owed_diagonals, 30, 6, ring) is None
+
+    def test_a_spaced_run_cover_out_of_seats_leaves_min_conflicts(
+        self, monkeypatch, caplog
+    ):
+        # K=19, i=13 tiles its loose diagonals by spaced runs; with no seat
+        # to spend every run gives up, and min-conflicts tiles them.
+        monkeypatch.setattr(delivery, "_SPACED_RUN_SEATS", 0)
+        with caplog.at_level(logging.DEBUG, logger="cachecode.delivery"):
+            schedule = generate_schedule(instance(19, 13))
+        assert caplog.messages[-1] == (
+            "orbit fallback for K=19, i=13: transversal plan, "
+            "tiled by min-conflicts"
+        )
+        assert verify_instantaneous_decodability(schedule).ok
+
+    def test_no_plan_finishing_raises(self, monkeypatch):
+        # K=13, i=10 has only the whole-region plan: with both tilers
+        # refusing, the orbit fallback finds nothing.
+        monkeypatch.setattr(delivery, "_spaced_run_cover", lambda *args: None)
+        monkeypatch.setattr(delivery, "_tile_minconf", lambda *args: None)
+        plans = []
+        real = delivery._orbit_schedule
+
+        def orbit_schedule(*args):
+            plans.append(real(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(delivery, "_orbit_schedule", orbit_schedule)
+        with pytest.raises(
+            ScheduleError,
+            match=r"^K=13, i=10: no schedule of 7 transmissions found$",
+        ):
+            generate_schedule(instance(13, 10))
+        assert plans == [None]
 
 
 def test_generation_imports_neither_numpy_nor_scipy(tmp_path):

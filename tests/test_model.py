@@ -103,6 +103,14 @@ class TestCacheLayout:
             assert cached | layout.missing(k) == set(range(1, 8))
             assert not cached & layout.missing(k)
 
+    def test_every_layout_up_to_k30_follows_the_wrap_definition(self):
+        for K in range(1, 31):
+            for i in range(K + 1):
+                assert build_cache_layout(instance(K, i)).cached == tuple(
+                    frozenset(wrap(k + j, K) for j in range(i))
+                    for k in range(1, K + 1)
+                ), (K, i)
+
     @given(st.integers(1, 32).flatmap(lambda K: st.tuples(st.just(K), st.integers(0, K))))
     def test_every_user_is_a_rotation_of_user_one(self, Ki):
         K, i = Ki

@@ -8,7 +8,9 @@ sweep search's debug lines, which say how many decisions each instance
 spent, are captured during the same run and pinned by their own digest;
 only the instances with 2i > K run the sweep and log one.  The arity-2
 instances 1 <= i <= K/2 come from the pairwise closed form, and the sweep
-run on them alone reproduces it codeword for codeword.
+run on them alone reproduces it codeword for codeword.  Past the grid, the
+sweep's lines for the 50 instances 25 <= K <= 28 with 2i > K are pinned
+too, from the sweep run alone.
 Sixteen fallback instances, fifteen of them past K = 24, are pinned the
 same way as the grid, and each of them is verified and delivered bit for
 bit.
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from cachecode import build_cache_layout, build_demand_list
+from cachecode import SystemParams, build_cache_layout, build_demand_list
 from cachecode.delivery import (
     _solve_schedule,
     initial_codeword_terms,
@@ -35,6 +37,12 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "schedule_digest.p
 GRID24_DIGEST = "dc45ef230d79d3c2d9e6ea3a035b557cf3377be3653749f267f0c3d6685fa32a"
 GRID24_DECISIONS_DIGEST = (
     "209789e0a4eb088b8d140cc5bed9112ef290ac23e40b86f7ae3e8cc3bcb7b9d7"
+)
+# The sweep alone on 25 <= K <= 28 with 2i > K: 29 instances finish and 21
+# give up.  Otherwise only ``--k40 --decisions``, which takes about half a
+# minute, pins decision counts past the grid.
+SWEEP_25_28_DECISIONS_DIGEST = (
+    "34f1e1c80b3e6f4798bf12aceacf72c248c05c7f20cd6a32bc919ab87936e65b"
 )
 FALLBACK_DIGESTS = [
     # K=22, i=16; K=31, i=26; K=32, i=27: the sweep gives up on each, the
@@ -120,6 +128,23 @@ def test_sweep_reproduces_the_pair_closed_form(grid24):
         if swept != list(s.codewords):
             differ.append((params.n_users, params.cache_units))
     assert differ == []
+
+
+def test_sweep_decisions_past_the_grid_are_pinned():
+    instances = [(K, i) for K in range(25, 29) for i in range(K // 2 + 1, K)]
+    assert len(instances) == 50
+    with digest_script.sweep_lines() as lines:
+        for K, i in instances:
+            params = SystemParams(n_files=K, n_users=K, cache_units=i)
+            _solve_schedule(
+                params,
+                None,
+                scheme_constants(params),
+                initial_codeword_terms(params),
+                build_demand_list(params),
+            )
+    assert sum("gave up" in line for line in lines) == 21
+    assert digest_script.lines_digest(lines) == SWEEP_25_28_DECISIONS_DIGEST
 
 
 @pytest.mark.parametrize(
