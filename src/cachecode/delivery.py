@@ -415,17 +415,23 @@ def _replacement_choices(
     of them is walked.
     """
     K = ring.n_users
-    tried: list[tuple[int, int]] = []
+    options: list[tuple[int, int | None, int]] = []
+    cost = 1
     seen = 0
     fits = owed & allowed
     moves = _rule_cells(dead, K)
     for k in _RULE_ORDER[flag]:
         cand = moves[k - 1]
         if fits >> cand & 1 and not seen >> cand & 1:
-            tried.append((cand, k))
             seen |= 1 << cand
+            if walk >> cand & 1:
+                options.append((cost, cand, k))
+                cost = 0
+            cost += 1
     seats = fits & ~seen
-    if seats & walk:
+    if not seats & walk:
+        cost += seats.bit_count()
+    else:
         row = (1 << K) - 1
         free = owed
         committed = [0] * K
@@ -439,18 +445,11 @@ def _replacement_choices(
             fit = abs(_free_run(free, cell, K) - steps_left)
             rescue.append((-need, fit, ring.rank[cell], cell))
         rescue.sort()
-        tried.extend((cell, 0) for _, _, _, cell in rescue)
-    options: list[tuple[int, int | None, int]] = []
-    cost = 1
-    for seat, k in tried:
-        if walk >> seat & 1:
-            options.append((cost, seat, k))
-            cost = 1
-        else:
+        for _, _, _, cell in rescue:
+            if walk >> cell & 1:
+                options.append((cost, cell, 0))
+                cost = 0
             cost += 1
-    if not seats & walk:
-        # The rescues, none of them walked, after the rules.
-        cost += seats.bit_count()
     if not lost:
         options.append((cost, None, flag))
         cost = 0
@@ -1025,20 +1024,16 @@ def _solve_schedule(
     instantaneously decodable by construction.
 
     Work whose outcome is already known is counted, not done, and only
-    backtracking counts.  An option fails before the next decision when
-    its walk fails on the next owed cells of the queue, or on the counting
-    bounds of the commit right after them; seating on one of those cells
-    and abandoning reach the same cells and share one check.  Every
-    decision is pushed as a record of the options worth walking, each
-    costing itself and the failing options just before it, and of the
-    cost of the options after them.  Backtracking pops the next option and
-    adds its cost, or, when none is left, adds the rest, retires the
-    record and remembers what the decision spent.  A decision whose state
-    (owed cells, commit count, the queue left, partial codeword, flag) was
-    searched to exhaustion before, and one with no option to walk, are
-    records with no options: the first costs what it spent then, the
-    second all of its options, unranked.  The decision count, the budget
-    and the schedule found are those of the plain search.
+    backtracking counts.  Each decision is a record of the options worth
+    walking, each costing itself and the failing options just before it,
+    and of the cost after them.  A state (owed cells, commit count, the
+    queue left, partial codeword, flag) searched to exhaustion before, or
+    a decision with no option to walk, is a record with no options that
+    costs what it spent then, or all of its options unranked.  An option
+    fails when its walk fails on the next owed cells of the queue, or on
+    the counting bounds of the commit right after them; seating on one of
+    those cells and abandoning share one check.  The decision count, the
+    budget and the schedule found are those of the plain search.
 
     Returns None when the search space is exhausted or ``node_budget``
     replacement decisions were spent without completing a schedule.
@@ -1072,7 +1067,7 @@ def _solve_schedule(
     # is (owed, commit count, the queue from the served term on, partial,
     # flag), which fixes all of the search below the decision, so
     # backtracking restores the search state from the key and the record.
-    decisions: list[tuple[tuple, int, int, list, int]] = []
+    decisions: list[tuple[tuple, int, int, list | tuple, int]] = []
     # Decisions spent below each decision searched to exhaustion, by key.
     # Backtracking inside a decision restores only records made inside it,
     # and a key never recurs on its own path (the queue left shrinks within
@@ -1165,7 +1160,7 @@ def _solve_schedule(
         stuck = True
         spent = dead.get(key)
         if spent is not None:
-            decisions.append((key, nodes, allowed, [], spent))
+            decisions.append((key, nodes, allowed, (), spent))
             continue
         # lead: the owed cells a seat outside it appends next, up to the
         # first cell not owed or the end of the queue (a queue holds one
@@ -1216,7 +1211,7 @@ def _solve_schedule(
         if lost and not fits & walk:
             # Nothing to walk: the decision costs its rule seats and
             # rescues, which are the owed cells that fit, and abandoning.
-            decisions.append((key, nodes, allowed, [], fits.bit_count() + 1))
+            decisions.append((key, nodes, allowed, (), fits.bit_count() + 1))
             continue
         options, rest = _replacement_choices(
             cand, flag, ring, owed, partial, allowed, budget - len(codewords),
