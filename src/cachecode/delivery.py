@@ -37,10 +37,13 @@ all diagonals; striped transversal groups plus the loose diagonals; the
 same with mirror-closed groups; and the whole owed region, tiled.  A tiling
 packs diagonals into exactly the right number of codewords, by shifted runs
 when it can and otherwise by seeded min-conflicts local search.  Every
-orbit shifts a base codeword found by one search (:func:`_orbit_base`); a
-shifted base is again a base, so that search starts every base at user 0.
-Every construction bounds how densely a codeword can sample a diagonal by
-the spacing the ring holds for each diagonal (:class:`_Ring`).
+orbit shifts a base codeword found by one search (:func:`_orbit_base`),
+given only the diagonals, the cells per diagonal m and their spacing d.  A
+shifted base is again a base, so that search starts every base at user 0;
+on the other diagonals a run may start at any user, or at users 0..d-1
+when m*d = K, as in the coset blocks.  Every construction bounds how
+densely a codeword can sample a diagonal by the spacing the ring holds for
+each diagonal (:class:`_Ring`).
 
 Internally the search and the fallbacks work on integer cells of the K x K
 (user, packet) ring and on bitmasks of them (:class:`_Ring`), numbered
@@ -510,48 +513,40 @@ def _checked_tail(ring: _Ring, owed: int, arity: int) -> list[int] | None:
 
 
 def _orbit_base(
-    offsets: Sequence[int],
-    m: int,
-    d: int,
-    anchors: Sequence[int],
-    ring: _Ring,
+    offsets: Sequence[int], m: int, d: int, ring: _Ring
 ) -> list[int] | None:
     """First base codeword with m cells spaced d apart on each diagonal.
 
-    On diagonal ``offsets[k]`` the base holds the cells of users a, a+d,
-    ..., a+(m-1)d (mod K): a = 0 on the first diagonal, and an anchor a
-    from ``anchors`` on the others.  A diagonal is the set of cells
-    (u, u + offset mod K), and the shift (u, p) -> (u+1, p+1) keeps every
-    cell on its diagonal and keeps mutual caching intact.  So the shifts
-    of one base sweep its diagonals (the callers pick m, d and the anchors
-    so that they cover each cell once), and a shifted base is again a
-    base: as the anchors start every run of m cells d apart, a base exists
-    only if one exists whose first run starts at user 0.
+    On diagonal ``offsets[k]`` the base holds the run of users a, a+d,
+    ..., a+(m-1)d (mod K): a = 0 on the first diagonal, and any start a
+    on the others.  A diagonal is the set of cells (u, u + offset mod K),
+    and the shift (u, p) -> (u+1, p+1) keeps every cell on its diagonal
+    and keeps mutual caching intact.  So the shifts of one base sweep its
+    diagonals (the callers pick m and d so that they cover each cell
+    once), and a shifted base is again a base: a base exists only if one
+    exists whose first run starts at user 0.  The runs start at users
+    0..K-1, except that when m*d = K the run from a + d is the run from a,
+    so the starts 0..d-1 give each run once.
 
-    Depth-first over the anchors in the order given, checking every cell
+    Depth-first over the starts in increasing order, checking every cell
     against all cells chosen before it, and abandoning a branch as soon as
-    some later diagonal has no cell its anchors could use left: that
-    prunes only branches holding no base, so the first base found is the
-    same.
+    some later diagonal has no cell left that can join: that prunes only
+    branches holding no base, so the first base found is the same.
     """
     K = ring.n_users
     compat = ring.compat
+    starts = range(d if m * d == K else K)
+    # The starts reach every user: a later diagonal may use its whole field.
+    row = (1 << K) - 1
+    fields = [row << ring.on_diagonal(0, off) for off in offsets[1:]]
     chosen: list[int] = []
-    # reach[k]: every cell the anchors may use on diagonal offsets[k + 1].
-    reach = []
-    for off in offsets[1:]:
-        mask = 0
-        for a in anchors:
-            for l in range(m):
-                mask |= 1 << ring.on_diagonal((a + l * d) % K, off)
-        reach.append(mask)
 
     def extend(idx: int, allowed: int) -> bool:
         if idx == len(offsets):
             return True
-        if not all(allowed & mask for mask in reach[idx:]):
+        if not all(allowed & field for field in fields[idx:]):
             return False
-        for a in anchors if idx else (0,):
+        for a in starts if idx else (0,):
             cells = []
             after = allowed
             for l in range(m):
@@ -568,22 +563,6 @@ def _orbit_base(
         return False
 
     return chosen if extend(0, _ANY_CELL) else None
-
-
-def _block_orbit(
-    block: Sequence[int], m: int, ring: _Ring
-) -> list[tuple[int, ...]] | None:
-    """The K/m shifts of a base with m cells on each diagonal of ``block``.
-
-    The base's cells on one diagonal are K/m users apart, so its K/m shifts
-    cover every cell of the block once; the base is the first one
-    :func:`_orbit_base` finds, or None when there is none.
-    """
-    period = range(ring.n_users // m)
-    base = _orbit_base(block, m, len(period), period, ring)
-    if base is None:
-        return None
-    return [tuple(ring.shift(c, s) for c in base) for s in period]
 
 
 def _tally(planes: list[int], mask: int, flip: int) -> None:
@@ -788,7 +767,7 @@ def _spaced_run_cover(
                 if math.gcd(d, K) != 1:
                     continue
                 if (m, d) not in bases:
-                    bases[m, d] = _orbit_base(offsets, m, d, range(K), ring)
+                    bases[m, d] = _orbit_base(offsets, m, d, ring)
                 base = bases[m, d]
                 if base is None:
                     continue
@@ -930,11 +909,12 @@ def _orbit_schedule(
     """Cyclic construction for instances the sweep search cannot finish.
 
     The owed region is a union of K-i full diagonals.  Every construction
-    is a plan: blocks of diagonals, each swept by the shift orbit of a
-    base with m cells per diagonal (:func:`_block_orbit`), and the
-    diagonals left over, tiled by :func:`_tile_leftover` into the
-    codewords the orbits leave to the closed-form total.  The first plan
-    whose orbits and tiling all exist wins, in this order:
+    is a plan: blocks (m, diagonals), each swept by the K/m shifts of a
+    base with m cells K/m apart per diagonal (:func:`_orbit_base`, whose
+    runs then start at users 0..K/m-1), and the diagonals left over,
+    tiled by :func:`_tile_leftover` into the codewords the orbits leave
+    to the closed-form total.  The first plan whose orbits and tiling all
+    exist wins, in this order:
 
     1. coset: every multiplicity profile of :func:`_coset_cover`, with
        nothing left over; there is none when no profile matches the
@@ -984,10 +964,14 @@ def _orbit_schedule(
     for name, blocks, leftover in plans:
         codewords: list[tuple[int, ...]] = []
         for m, block in blocks:
-            orbit = _block_orbit(block, m, ring)
-            if orbit is None:
+            # m cells K/m apart per diagonal: K/m shifts cover the block.
+            period = ring.n_users // m
+            base = _orbit_base(block, m, period, ring)
+            if base is None:
                 break
-            codewords.extend(orbit)
+            codewords.extend(
+                tuple(ring.shift(c, s) for c in base) for s in range(period)
+            )
         else:
             tiling = _tile_leftover(
                 leftover, consts.n_transmissions - len(codewords),

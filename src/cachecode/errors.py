@@ -1,5 +1,14 @@
 """Exception types shared across the cachecode package."""
 
+__all__ = [
+    "CacheCodeError",
+    "InstanceError",
+    "RegimeError",
+    "ScheduleError",
+    "UnsupportedMemoryPoint",
+    "SimulationMismatch",
+]
+
 
 class CacheCodeError(Exception):
     """Base class for all cachecode errors."""

@@ -196,6 +196,14 @@ class TestCcdnBoundCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_no_files_exits_with_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "ccdn-bound", "--K", "4", "--L", "2", "--N", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least one user and one file\n"
+
     def test_tiny_grid_is_rejected(self, capsys):
         code, out, err = run(
             capsys, "ccdn-bound", "--K", "10", "--L", "6", "--grid", "1"

@@ -27,9 +27,9 @@ from cachecode.delivery import (
     Codeword,
     SchemeConstants,
     _bits,
-    _block_orbit,
     _checked_tail,
     _free_run,
+    _orbit_base,
     _replacement_choices,
     _Ring,
     _rule_cells,
@@ -1455,7 +1455,7 @@ class TestTransversalBlocks:
         found = [
             block
             for block in itertools.combinations(ring.owed_diagonals, 4)
-            if _block_orbit(block, 1, ring) is not None
+            if _orbit_base(block, 1, 27, ring) is not None
         ]
         assert found == [
             (15, 16, 25, 26),
@@ -1463,6 +1463,159 @@ class TestTransversalBlocks:
             (17, 18, 23, 24),
             (18, 19, 22, 23),
             (19, 20, 21, 22),
+        ]
+
+
+# `_orbit_base` as it was when its callers passed the run starts
+# (``anchors``) and it built each later diagonal's reach from them, cell by
+# cell, kept verbatim as a reference.  `TestOrbitBaseMatchesReference`
+# checks that both find the same base, or none, given the starts the
+# callers passed: users 0..d-1 for the plans' blocks, where m*d = K, and
+# every user for the spaced-run cover, where d is coprime to K.
+def reference_orbit_base(
+    offsets: Sequence[int],
+    m: int,
+    d: int,
+    anchors: Sequence[int],
+    ring: _Ring,
+) -> list[int] | None:
+    """First base codeword with m cells spaced d apart on each diagonal.
+
+    On diagonal ``offsets[k]`` the base holds the cells of users a, a+d,
+    ..., a+(m-1)d (mod K): a = 0 on the first diagonal, and an anchor a
+    from ``anchors`` on the others.  A diagonal is the set of cells
+    (u, u + offset mod K), and the shift (u, p) -> (u+1, p+1) keeps every
+    cell on its diagonal and keeps mutual caching intact.  So the shifts
+    of one base sweep its diagonals (the callers pick m, d and the anchors
+    so that they cover each cell once), and a shifted base is again a
+    base: as the anchors start every run of m cells d apart, a base exists
+    only if one exists whose first run starts at user 0.
+
+    Depth-first over the anchors in the order given, checking every cell
+    against all cells chosen before it, and abandoning a branch as soon as
+    some later diagonal has no cell its anchors could use left: that
+    prunes only branches holding no base, so the first base found is the
+    same.
+    """
+    K = ring.n_users
+    compat = ring.compat
+    chosen: list[int] = []
+    # reach[k]: every cell the anchors may use on diagonal offsets[k + 1].
+    reach = []
+    for off in offsets[1:]:
+        mask = 0
+        for a in anchors:
+            for l in range(m):
+                mask |= 1 << ring.on_diagonal((a + l * d) % K, off)
+        reach.append(mask)
+
+    def extend(idx: int, allowed: int) -> bool:
+        if idx == len(offsets):
+            return True
+        if not all(allowed & mask for mask in reach[idx:]):
+            return False
+        for a in anchors if idx else (0,):
+            cells = []
+            after = allowed
+            for l in range(m):
+                cell = ring.on_diagonal((a + l * d) % K, offsets[idx])
+                if not after >> cell & 1:
+                    break
+                cells.append(cell)
+                after &= compat[cell]
+            else:
+                chosen.extend(cells)
+                if extend(idx + 1, after):
+                    return True
+                del chosen[-m:]
+        return False
+
+    return chosen if extend(0, _ANY_CELL) else None
+
+
+# The K <= 24 instances whose sweep gives up, so the orbit fallback runs.
+FALLBACK_24 = [
+    (13, 10), (14, 11), (16, 12), (17, 9), (17, 12), (17, 13), (17, 14),
+    (18, 14), (18, 15), (19, 10), (19, 13), (19, 14), (19, 15), (20, 14),
+    (20, 15), (21, 11), (21, 16), (21, 17), (21, 18), (22, 15), (22, 16),
+    (22, 18), (22, 19), (23, 12), (23, 17), (23, 18), (23, 19), (24, 18),
+    (24, 20),
+]
+
+
+@st.composite
+def orbit_base_inputs(draw, coprime):
+    """A ring with K <= 30, up to four of its owed diagonals, and a run
+    shape: m cells d = K/m apart, or d coprime to K and any m <= K."""
+    K = draw(st.integers(2, 30))
+    # Large caches and short runs make bases that exist more common.
+    i = draw(st.integers(K // 2, K - 1) | st.integers(1, K - 1))
+    offsets = draw(
+        st.lists(st.integers(i, K - 1), min_size=1, max_size=4, unique=True)
+    )
+    if coprime:
+        coprime_steps = [d for d in range(1, K) if math.gcd(d, K) == 1]
+        d = draw(st.sampled_from(coprime_steps))
+        m = draw(st.integers(1, min(K, 3)) | st.integers(1, K))
+    else:
+        m = draw(st.sampled_from([m for m in range(1, K + 1) if K % m == 0]))
+        d = K // m
+    return offsets, m, d, _Ring(K, i)
+
+
+class TestOrbitBaseMatchesReference:
+    @settings(max_examples=300, derandomize=True)
+    @given(orbit_base_inputs(coprime=False))
+    def test_coset_runs(self, inputs):
+        offsets, m, d, ring = inputs
+        assert _orbit_base(offsets, m, d, ring) == reference_orbit_base(
+            offsets, m, d, range(d), ring
+        )
+
+    @settings(max_examples=300, derandomize=True)
+    @given(orbit_base_inputs(coprime=True))
+    def test_coprime_runs(self, inputs):
+        offsets, m, d, ring = inputs
+        assert _orbit_base(offsets, m, d, ring) == reference_orbit_base(
+            offsets, m, d, range(ring.n_users), ring
+        )
+
+    @pytest.mark.parametrize("K", range(2, 31))
+    def test_a_run_through_every_user(self, K):
+        # m = K, d = 1: one start gives the run the K starts all give.
+        for i in range(1, K):
+            ring = _Ring(K, i)
+            for offsets in ([K - 1], [i, K - 1], [K - 1, i]):
+                assert _orbit_base(offsets, K, 1, ring) == (
+                    reference_orbit_base(offsets, K, 1, range(K), ring)
+                )
+        ring = _Ring(K, K - 1)
+        assert _orbit_base([K - 1], K, 1, ring) == [
+            ring.on_diagonal(u, K - 1) for u in range(K)
+        ]
+
+    def test_every_block_the_fallback_plans_try(self, monkeypatch):
+        # The plans passed users 0..K/m-1 and the spaced-run cover every
+        # user, whatever m and d.
+        calls = []
+        real = delivery._orbit_base
+
+        def spy(offsets, m, d, ring):
+            caller = sys._getframe(1).f_code.co_name
+            K = ring.n_users
+            anchors = range(K // m if caller == "_orbit_schedule" else K)
+            base = real(offsets, m, d, ring)
+            assert base == reference_orbit_base(offsets, m, d, anchors, ring)
+            calls.append((caller, base is not None))
+            return base
+
+        monkeypatch.setattr(delivery, "_orbit_base", spy)
+        for K, i in FALLBACK_24:
+            consts = scheme_constants(instance(K, i))
+            delivery._orbit_schedule(_Ring(K, i), consts)
+        assert sorted(set(calls)) == [
+            ("_orbit_schedule", False), ("_orbit_schedule", True),
+            ("_spaced_run_cover", False), ("_spaced_run_cover", True),
         ]
 
 

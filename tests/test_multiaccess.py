@@ -49,6 +49,15 @@ class TestCcdnParams:
             ccdn(10, 3, -1)
 
     @pytest.mark.parametrize(
+        "K,N", [(0, 5), (5, 0), (0, 0)], ids=["no users", "no files", "none"]
+    )
+    def test_needs_a_user_and_a_file(self, K, N):
+        with pytest.raises(
+            InstanceError, match="^need at least one user and one file$"
+        ):
+            ccdn(K, 1, 0, N=N)
+
+    @pytest.mark.parametrize(
         "fields,name",
         [
             ((10, 10.0, 6, 1), "n_users"),
