@@ -46,8 +46,8 @@ GRID24 = [(K, i) for K in range(2, 25) for i in range(1, K)]
 # within 25 s when the list was fixed.  With the bit-sliced min-conflicts
 # tiler every other one takes at most about 7 s, and 39,32, which finishes
 # in 10-18 s, is in the list; 31,22, 33,26 and 36,30 raise
-# ScheduleError after about 21 s, and the other five still run past 25 s
-# (2-vCPU Intel Xeon VM, Python 3.11.7).
+# ScheduleError after 12-16 s, 11-13 s and 9-12 s, and the other five
+# still run past 25 s (2-vCPU Intel Xeon VM, Python 3.11.7).
 K40_UNBOUNDED = {
     (31, 22), (33, 26), (34, 24), (36, 30), (37, 26), (37, 29), (38, 30),
     (40, 28),

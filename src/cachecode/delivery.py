@@ -32,9 +32,10 @@ discipline (a kept term can wall off every compatible re-seat).  Those fall
 back to equivalent constructions with the same transmission count
 (:func:`_orbit_schedule`).  Each is a plan: blocks of owed diagonals, each
 swept by the shift orbit of one base codeword, and the diagonals left over,
-tiled directly.  The plans, in order: every coset cover, whose blocks take
-all diagonals; striped transversal groups plus the loose diagonals; the
-same with mirror-closed groups; and the whole owed region, tiled.  A tiling
+tiled directly.  One generator (:func:`_orbit_plans`) yields the plans as
+they are tried, in order: every coset cover, whose blocks take all
+diagonals; striped transversal groups plus the loose diagonals; the same
+with mirror-closed groups; and the whole owed region, tiled.  A tiling
 packs diagonals into exactly the right number of codewords, by shifted runs
 when it can and otherwise by seeded min-conflicts local search.  Every
 orbit shifts a base codeword found by one search (:func:`_orbit_base`),
@@ -752,16 +753,10 @@ def _spaced_run_cover(
     n_diag = len(offsets)
     bases: dict[tuple[int, int], list[int] | None] = {}
     for m in range(1, arity // n_diag + 1):
-        spare = arity - m * n_diag
         for q in range(min(K // m, n_cliques), 0, -1):
             rem = K - m * q
             n_extra = n_cliques - q
-            extras_total = rem * n_diag
-            if extras_total > 2 * arity:
-                continue
-            if extras_total == 0 and n_extra > 0:
-                continue
-            if extras_total > q * spare + n_extra * arity:
+            if rem * n_diag > 2 * arity:
                 continue
             for d in range(1, K):
                 if math.gcd(d, K) != 1:
@@ -790,8 +785,6 @@ def _spaced_run_cover(
                     opened = len(cliques) - q
                     if idx == len(extras):
                         return opened == n_extra
-                    if opened + (len(extras) - idx) < n_extra:
-                        return False
                     cell = extras[idx]
                     for clique in cliques:
                         if len(clique) < arity and all(
@@ -833,29 +826,31 @@ def _tile_leftover(
     K = ring.n_users
     if not offsets:
         return ([], "") if n_cliques == 0 else None
-    cells = [ring.on_diagonal(u, off) for off in offsets for u in range(K)]
-    if len(cells) > arity * n_cliques or _overfull(
-        sum(1 << c for c in cells), n_cliques, ring
+    # One transmission ships at most team[d] cells of diagonal d.
+    if len(offsets) * K > arity * n_cliques or any(
+        ring.team[d] * n_cliques < K for d in offsets
     ):
         return None
     built = _spaced_run_cover(offsets, n_cliques, arity, ring)
     if built is not None:
         return built, "spaced run"
+    cells = [ring.on_diagonal(u, off) for off in offsets for u in range(K)]
     built = _tile_minconf(cells, n_cliques, arity, ring)
     return None if built is None else (built, "min-conflicts")
 
 
-def _coset_cover(
+def _orbit_plans(
     ring: _Ring, consts: SchemeConstants
-) -> Iterator[list[tuple[int, list[int]]]]:
-    """Block lists of shift-orbit covers of all owed diagonals.
+) -> Iterator[tuple[str, list[tuple[int, list[int]]], Sequence[int]]]:
+    """The orbit fallback's plans, as (name, blocks, leftover), in order.
 
-    Assigns each diagonal a multiplicity m (cells per codeword, a divisor
-    of K, with coset spacing K/m no tighter than the diagonal's minimum),
-    and packs diagonals of equal multiplicity into blocks (m, diagonals)
-    of at most floor(arity/m).  A multiplicity profile is usable only when
-    the block counts add up to exactly the required number of
-    transmissions; yields the blocks of every usable profile in turn.
+    Coset plans come first, one per usable multiplicity profile: each
+    diagonal gets a multiplicity m (cells per codeword, a divisor of K,
+    with coset spacing K/m no tighter than the diagonal's minimum), and
+    diagonals of equal multiplicity pack into blocks (m, diagonals) of at
+    most floor(arity/m).  A profile is usable only when the block counts
+    add up to exactly the required number of transmissions.  Then the
+    transversal and mirrored plans, and last the whole owed region.
     """
     K = ring.n_users
     arity, total = consts.arity, consts.n_transmissions
@@ -863,44 +858,56 @@ def _coset_cover(
     by_cap = sorted(offsets, key=lambda off: (ring.team[off], off))
     caps = [ring.team[off] for off in by_cap]
     divisors = [m for m in range(1, arity + 1) if K % m == 0]
-    profiles: list[list[int]] = []
 
-    def enumerate_profiles(
-        idx: int, left: int, cws: int, profile: list[int]
-    ) -> None:
+    def profiles(idx: int, left: int, cws: int) -> Iterator[list[int]]:
+        # Ascending multiplicity lists, n diagonals of divisors[idx] first.
         if idx == len(divisors):
             if left == 0 and cws == total:
-                profiles.append(profile.copy())
+                yield []
             return
         m = divisors[idx]
         width = arity // m
         for n in range(left + 1):
-            blocks = -(-n // width) if n else 0
-            add = blocks * (K // m)
+            add = -(-n // width) * (K // m)
             if cws + add > total:
                 break
-            profile.append(n)
-            enumerate_profiles(idx + 1, left - n, cws + add, profile)
-            profile.pop()
+            for rest in profiles(idx + 1, left - n, cws + add):
+                yield [m] * n + rest
 
-    enumerate_profiles(0, len(offsets), 0, [])
-    for profile in profiles:
+    for mults in profiles(0, len(offsets), 0):
         # Loosest diagonals take the highest multiplicities; with nested
         # eligibility the sorted pairing is feasible whenever anything is.
-        mults: list[int] = []
-        for m, n in zip(divisors, profile):
-            mults.extend([m] * n)
-        mults.sort()
         if any(m > c for m, c in zip(mults, caps)):
             continue
         blocks: list[tuple[int, list[int]]] = []
-        for m in sorted(set(mults)):
+        for m in divisors:
             group = sorted(off for off, k in zip(by_cap, mults) if k == m)
             width = arity // m
             blocks.extend(
                 (m, group[g : g + width]) for g in range(0, len(group), width)
             )
-        yield blocks
+        yield "coset", blocks, []
+    n_groups = len(offsets) // arity
+    if n_groups:
+        by_spacing = sorted(offsets, key=lambda off: (ring.spacing[off], off))
+        n_loose = len(offsets) % arity
+        grouped = sorted(by_spacing[n_loose:])
+        stripes = [(1, grouped[g::n_groups]) for g in range(n_groups)]
+        loose = sorted(by_spacing[:n_loose])
+        yield "transversal", stripes, loose
+        if arity % 2 == 0:
+            half = arity // 2
+            mirrored = [
+                (1, sorted(
+                    d
+                    for k in range(g * half, (g + 1) * half)
+                    for d in (offsets[k], offsets[-1 - k])
+                ))
+                for g in range(n_groups)
+            ]
+            if mirrored != stripes:
+                yield "mirrored", mirrored, loose
+    yield "whole-region", [], offsets
 
 
 def _orbit_schedule(
@@ -913,11 +920,11 @@ def _orbit_schedule(
     base with m cells K/m apart per diagonal (:func:`_orbit_base`, whose
     runs then start at users 0..K/m-1), and the diagonals left over,
     tiled by :func:`_tile_leftover` into the codewords the orbits leave
-    to the closed-form total.  The first plan whose orbits and tiling all
-    exist wins, in this order:
+    to the closed-form total.  The first plan of :func:`_orbit_plans`
+    whose orbits and tiling all exist wins, in this order:
 
-    1. coset: every multiplicity profile of :func:`_coset_cover`, with
-       nothing left over; there is none when no profile matches the
+    1. coset: every usable multiplicity profile, found as it is tried,
+       with nothing left over; there is none when no profile matches the
        transmission count, as for prime K;
     2. transversal, when at least ``arity`` diagonals are owed: the rest
        striped in offset order into (K-i) // arity groups, each swept by
@@ -926,42 +933,18 @@ def _orbit_schedule(
     3. mirrored, for even arity: as many transversal blocks, block g
        holding the next arity/2 pairs of diagonals d, i+K-1-d from the
        outside in -- the pairs the mirror sigma(u, p) = (p, u+i-1)
-       swaps -- and the same loose diagonals; tried only when no loose
-       diagonal falls inside a block and the blocks differ from the
-       striped ones.  Observed, not proved: for odd K = 27..39 with
+       swaps -- and the same loose diagonals, tried when the blocks
+       differ from the striped ones.  No loose diagonal falls inside a
+       block: spacing[d] = |d - c| + (K-i+1)/2 grows with the distance
+       from the mirror's centre c = (K+i-1)/2, so the loose diagonals are
+       the innermost ones.  Observed, not proved: for odd K = 27..39 with
        i = (K+3)/2 the striped blocks admit no transversal and these do;
     4. whole-region: no blocks, every owed diagonal left over.
 
     Logs which plan finished and, when it tiled any diagonals, by which
     tiler.
     """
-    offsets = ring.owed_diagonals
-    plans = [("coset", blocks, []) for blocks in _coset_cover(ring, consts)]
-    n_groups = len(offsets) // consts.arity
-    if n_groups:
-        by_spacing = sorted(offsets, key=lambda off: (ring.spacing[off], off))
-        n_loose = len(offsets) % consts.arity
-        grouped = sorted(by_spacing[n_loose:])
-        stripes = [(1, grouped[g::n_groups]) for g in range(n_groups)]
-        loose = sorted(by_spacing[:n_loose])
-        plans.append(("transversal", stripes, loose))
-        half = consts.arity // 2
-        mirrored = [
-            (1, sorted(
-                d
-                for k in range(g * half, (g + 1) * half)
-                for d in (offsets[k], offsets[-1 - k])
-            ))
-            for g in range(n_groups)
-        ]
-        if (
-            consts.arity % 2 == 0
-            and set(loose).isdisjoint(d for _, b in mirrored for d in b)
-            and mirrored != stripes
-        ):
-            plans.append(("mirrored", mirrored, loose))
-    plans.append(("whole-region", [], offsets))
-    for name, blocks, leftover in plans:
+    for name, blocks, leftover in _orbit_plans(ring, consts):
         codewords: list[tuple[int, ...]] = []
         for m, block in blocks:
             # m cells K/m apart per diagonal: K/m shifts cover the block.
@@ -981,7 +964,7 @@ def _orbit_schedule(
                 tiled, tiler = tiling
                 log.debug(
                     "orbit fallback for K=%d, i=%d: %s plan%s",
-                    ring.n_users, offsets.start, name,
+                    ring.n_users, ring.cache_units, name,
                     f", tiled by {tiler}" if tiler else "",
                 )
                 return codewords + tiled

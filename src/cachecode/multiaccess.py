@@ -103,12 +103,10 @@ def f_subfiles(n_users: int, cache_units: int, access_degree: int) -> int:
     K, i, L = n_users, cache_units, access_degree
     if i < 1:
         raise InstanceError(f"subfile count needs i >= 1, got {i}")
-    count = Fraction(_binom(K - i * L + i - 1, i - 1) * K, i)
-    if count.denominator != 1:
-        raise InstanceError(
-            f"subfile count {count} for K={K}, i={i}, L={L} is not an integer"
-        )
-    return int(count)
+    n = K - i * L + i - 1
+    # Exact: binom(n, i-1) * K / i = binom(n+1, i) + (L-1) * binom(n, i-1),
+    # since K = n + 1 + (L-1)*i and binom(n+1, i) = binom(n, i-1) * (n+1)/i.
+    return _binom(n, i - 1) * K // i
 
 
 def effective_cache_run(params: CcdnParams) -> int:
@@ -197,11 +195,23 @@ def ccdn_rate_at_supported_points(params: CcdnParams) -> Fraction:
 class RateBoundCurve:
     """A piecewise-linear upper bound on rate as a function of cache memory.
 
-    ``breakpoints`` are (memory, rate) knots with strictly increasing
-    memory; the curve is linear between knots and constant past the last.
+    ``breakpoints`` are (memory, rate) knots, at least one, with strictly
+    increasing memory (:class:`InstanceError` otherwise); the curve is
+    linear between knots, constant past the last and undefined below the
+    first.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self) -> None:
+        memories = [m for m, _ in self.breakpoints]
+        if not memories:
+            raise InstanceError("a rate curve needs at least one knot")
+        if any(a >= b for a, b in zip(memories, memories[1:])):
+            raise InstanceError(
+                "knot memories "
+                f"{', '.join(map(str, memories))} are not strictly increasing"
+            )
 
     def evaluate(self, memory: Fraction | int | str) -> Fraction:
         try:
@@ -218,7 +228,6 @@ class RateBoundCurve:
         for (m0, r0), (m1, r1) in zip(points, points[1:]):
             if m0 <= m <= m1:
                 return r0 + (r1 - r0) * (m - m0) / (m1 - m0)
-        # m below the first knot can only be m < 0, already rejected.
         raise InstanceError(f"memory {m} outside the curve's domain")
 
 

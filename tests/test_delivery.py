@@ -14,7 +14,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +30,7 @@ from cachecode.delivery import (
     _checked_tail,
     _free_run,
     _orbit_base,
+    _orbit_plans,
     _replacement_choices,
     _Ring,
     _rule_cells,
@@ -1619,6 +1620,250 @@ class TestOrbitBaseMatchesReference:
         ]
 
 
+# `_coset_cover` and the plan list of `_orbit_schedule` as they were before
+# one generator, `_orbit_plans`, yielded the plans as they are tried, kept
+# verbatim as a reference.  `TestOrbitPlansMatchReference` checks that both
+# give the same plans in the same order.
+def reference_coset_cover(
+    ring: _Ring, consts: SchemeConstants
+) -> Iterator[list[tuple[int, list[int]]]]:
+    """Block lists of shift-orbit covers of all owed diagonals.
+
+    Assigns each diagonal a multiplicity m (cells per codeword, a divisor
+    of K, with coset spacing K/m no tighter than the diagonal's minimum),
+    and packs diagonals of equal multiplicity into blocks (m, diagonals)
+    of at most floor(arity/m).  A multiplicity profile is usable only when
+    the block counts add up to exactly the required number of
+    transmissions; yields the blocks of every usable profile in turn.
+    """
+    K = ring.n_users
+    arity, total = consts.arity, consts.n_transmissions
+    offsets = ring.owed_diagonals
+    by_cap = sorted(offsets, key=lambda off: (ring.team[off], off))
+    caps = [ring.team[off] for off in by_cap]
+    divisors = [m for m in range(1, arity + 1) if K % m == 0]
+    profiles: list[list[int]] = []
+
+    def enumerate_profiles(
+        idx: int, left: int, cws: int, profile: list[int]
+    ) -> None:
+        if idx == len(divisors):
+            if left == 0 and cws == total:
+                profiles.append(profile.copy())
+            return
+        m = divisors[idx]
+        width = arity // m
+        for n in range(left + 1):
+            blocks = -(-n // width) if n else 0
+            add = blocks * (K // m)
+            if cws + add > total:
+                break
+            profile.append(n)
+            enumerate_profiles(idx + 1, left - n, cws + add, profile)
+            profile.pop()
+
+    enumerate_profiles(0, len(offsets), 0, [])
+    for profile in profiles:
+        # Loosest diagonals take the highest multiplicities; with nested
+        # eligibility the sorted pairing is feasible whenever anything is.
+        mults: list[int] = []
+        for m, n in zip(divisors, profile):
+            mults.extend([m] * n)
+        mults.sort()
+        if any(m > c for m, c in zip(mults, caps)):
+            continue
+        blocks: list[tuple[int, list[int]]] = []
+        for m in sorted(set(mults)):
+            group = sorted(off for off, k in zip(by_cap, mults) if k == m)
+            width = arity // m
+            blocks.extend(
+                (m, group[g : g + width]) for g in range(0, len(group), width)
+            )
+        yield blocks
+
+
+def reference_orbit_plans(ring: _Ring, consts: SchemeConstants) -> list:
+    """The plans `_orbit_schedule` tried, in order, built as it built them."""
+    offsets = ring.owed_diagonals
+    plans = [("coset", blocks, []) for blocks in reference_coset_cover(ring, consts)]
+    n_groups = len(offsets) // consts.arity
+    if n_groups:
+        by_spacing = sorted(offsets, key=lambda off: (ring.spacing[off], off))
+        n_loose = len(offsets) % consts.arity
+        grouped = sorted(by_spacing[n_loose:])
+        stripes = [(1, grouped[g::n_groups]) for g in range(n_groups)]
+        loose = sorted(by_spacing[:n_loose])
+        plans.append(("transversal", stripes, loose))
+        half = consts.arity // 2
+        mirrored = [
+            (1, sorted(
+                d
+                for k in range(g * half, (g + 1) * half)
+                for d in (offsets[k], offsets[-1 - k])
+            ))
+            for g in range(n_groups)
+        ]
+        if (
+            consts.arity % 2 == 0
+            and set(loose).isdisjoint(d for _, b in mirrored for d in b)
+            and mirrored != stripes
+        ):
+            plans.append(("mirrored", mirrored, loose))
+    plans.append(("whole-region", [], offsets))
+    return plans
+
+
+# `_spaced_run_cover` as it was with its three extra prunes, kept verbatim
+# as a reference, its seat budget read from `delivery` at call time.  The
+# prunes skip only seatings that cannot land, so both return the same
+# cover, or None, wherever neither runs out of seats.
+def reference_spaced_run_cover(
+    offsets: Sequence[int],
+    n_cliques: int,
+    arity: int,
+    ring: _Ring,
+) -> list[tuple[int, ...]] | None:
+    """Cover full diagonals with shifted runs of a common step d.
+
+    With d coprime to K, the multiples of d walk through every user index,
+    so a base codeword holding m consecutive d-multiples on each listed
+    diagonal, shifted q times by m*d, covers the first m*q multiples on
+    each diagonal exactly once.  The last K - m*q multiples of each walk
+    become extras, seated one by one into the first shifted codeword with
+    room and full mutual caching, an already opened extra codeword, or a
+    fresh one while fewer than n_cliques - q are open; the first
+    depth-first seating that lands the count exactly on ``n_cliques``
+    wins.  Everything is tried in one fixed order, smallest m and largest q
+    first, so the result is deterministic.
+    """
+    K = ring.n_users
+    compat = ring.compat
+    n_diag = len(offsets)
+    bases: dict[tuple[int, int], list[int] | None] = {}
+    for m in range(1, arity // n_diag + 1):
+        spare = arity - m * n_diag
+        for q in range(min(K // m, n_cliques), 0, -1):
+            rem = K - m * q
+            n_extra = n_cliques - q
+            extras_total = rem * n_diag
+            if extras_total > 2 * arity:
+                continue
+            if extras_total == 0 and n_extra > 0:
+                continue
+            if extras_total > q * spare + n_extra * arity:
+                continue
+            for d in range(1, K):
+                if math.gcd(d, K) != 1:
+                    continue
+                if (m, d) not in bases:
+                    bases[m, d] = _orbit_base(offsets, m, d, ring)
+                base = bases[m, d]
+                if base is None:
+                    continue
+                # The q shifted codewords first, then the extra ones.
+                cliques = [
+                    [ring.shift(c, r * m * d) for c in base] for r in range(q)
+                ]
+                extras = [
+                    ring.shift(base[k * m], (m * q + x) * d)
+                    for k in range(n_diag)
+                    for x in range(rem)
+                ]
+                budget = delivery._SPACED_RUN_SEATS
+
+                def seat(idx: int) -> bool:
+                    nonlocal budget
+                    budget -= 1
+                    if budget < 0:
+                        return False
+                    opened = len(cliques) - q
+                    if idx == len(extras):
+                        return opened == n_extra
+                    if opened + (len(extras) - idx) < n_extra:
+                        return False
+                    cell = extras[idx]
+                    for clique in cliques:
+                        if len(clique) < arity and all(
+                            compat[cell] >> c & 1 for c in clique
+                        ):
+                            clique.append(cell)
+                            if seat(idx + 1):
+                                return True
+                            clique.pop()
+                    if opened < n_extra:
+                        cliques.append([cell])
+                        if seat(idx + 1):
+                            return True
+                        cliques.pop()
+                    return False
+
+                if seat(0):
+                    return [
+                        tuple(sorted(c, key=ring.rank.__getitem__))
+                        for c in cliques
+                    ]
+    return None
+
+
+# The fallback instances past K = 24 that `FALLBACK_DIGESTS` in
+# test_schedule_digest.py pins.
+FALLBACK_PAST_24 = [
+    (31, 26), (32, 27), (25, 13), (31, 20), (38, 23), (39, 24), (40, 34),
+    (25, 19), (27, 15), (29, 16), (31, 17), (33, 18), (35, 19), (37, 20),
+    (39, 21),
+]
+
+
+class TestOrbitPlansMatchReference:
+    def test_every_instance_the_sweep_runs_on(self):
+        # All 870 instances with 2i > K and K <= 60, whether or not their
+        # sweep gives up.
+        kinds = set()
+        for K in range(3, 61):
+            for i in range(K // 2 + 1, K):
+                ring = _Ring(K, i)
+                consts = scheme_constants(instance(K, i))
+                plans = list(_orbit_plans(ring, consts))
+                assert plans == reference_orbit_plans(ring, consts)
+                kinds.update(name for name, _, _ in plans)
+        assert kinds == {"coset", "transversal", "mirrored", "whole-region"}
+
+    def test_the_fallback_draws_plans_until_one_finishes(self, monkeypatch):
+        # K=14, i=11 finishes on the first of its two plans, K=19, i=10 on
+        # the second of its three.
+        drawn = []
+        real = delivery._orbit_plans
+
+        def spy(ring, consts):
+            for plan in real(ring, consts):
+                drawn.append((ring.n_users, plan[0]))
+                yield plan
+
+        monkeypatch.setattr(delivery, "_orbit_plans", spy)
+        for K, i in ((14, 11), (19, 10)):
+            consts = scheme_constants(instance(K, i))
+            assert delivery._orbit_schedule(_Ring(K, i), consts) is not None
+        assert drawn == [(14, "coset"), (19, "coset"), (19, "transversal")]
+
+    def test_every_spaced_run_cover_the_fallback_tries(self, monkeypatch):
+        calls = []
+        real = delivery._spaced_run_cover
+
+        def spy(offsets, n_cliques, arity, ring):
+            built = real(offsets, n_cliques, arity, ring)
+            assert built == reference_spaced_run_cover(
+                offsets, n_cliques, arity, ring
+            )
+            calls.append(built is not None)
+            return built
+
+        monkeypatch.setattr(delivery, "_spaced_run_cover", spy)
+        for K, i in FALLBACK_24 + FALLBACK_PAST_24:
+            consts = scheme_constants(instance(K, i))
+            assert delivery._orbit_schedule(_Ring(K, i), consts) is not None
+        assert sorted(set(calls)) == [False, True]
+
+
 # The min-conflicts tiler that the bit-sliced one replaced, kept verbatim
 # as a reference, its budgets read from `delivery` at call time:
 # `TestMinconfMatchesReference` checks that both return the same tilings,
@@ -1906,6 +2151,24 @@ class TestTilingGuards:
         ring = self.ring(4, 3)
         codeword = [ring.on_diagonal(u, 3) for u in range(4)]
         assert _tile_minconf(codeword, 1, 4, ring) == [tuple(codeword)]
+
+    @pytest.mark.parametrize(
+        "n_cliques,arity",
+        [
+            # No codeword to fill.
+            (0, 4),
+            # Four cells, at most three per codeword.
+            (1, 3),
+            # Four cells cannot fill five codewords.
+            (5, 4),
+        ],
+    )
+    def test_minconf_needs_cells_its_codewords_can_hold(self, n_cliques, arity):
+        # The four cells of K=4, i=3 form one codeword, so only the count
+        # check stands between them and a tiling.
+        ring = self.ring(4, 3)
+        codeword = [ring.on_diagonal(u, 3) for u in range(4)]
+        assert _tile_minconf(codeword, n_cliques, arity, ring) is None
 
     def test_spaced_run_needs_a_cell_per_diagonal(self, monkeypatch):
         # K=25, i=18 owes seven diagonals; a codeword holds at most six

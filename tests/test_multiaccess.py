@@ -2,6 +2,7 @@
 views, schedule reuse, the memory-sharing rate bound, and the
 access-degree comparison table."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from cachecode.errors import InstanceError, RegimeError, UnsupportedMemoryPoint
 from cachecode.model import SubpacketId, SystemParams, wrap
 from cachecode.multiaccess import (
     CcdnParams,
+    RateBoundCurve,
     ccdn_cache_contents,
     ccdn_rate_at_supported_points,
     ccdn_rate_bound_curve,
@@ -89,6 +91,22 @@ class TestSubfileCount:
     def test_rejects_empty_caches(self):
         with pytest.raises(InstanceError):
             f_subfiles(10, 0, 3)
+
+    def test_the_count_is_a_whole_number_everywhere(self):
+        # binom(n, i-1) * K = i * (binom(n+1, i) + (L-1) * binom(n, i-1))
+        # with n = K - i*L + i - 1, so the count never rounds.
+        for K in range(1, 41):
+            for i in range(1, K + 1):
+                for L in range(1, K + 1):
+                    n = K - i * L + i - 1
+                    count = f_subfiles(K, i, L)
+                    if n < 1 or n < i - 1:
+                        assert count == 0
+                        continue
+                    assert count * i == math.comb(n, i - 1) * K
+                    assert count == (
+                        math.comb(n + 1, i) + (L - 1) * math.comb(n, i - 1)
+                    )
 
 
 class TestUserView:
@@ -226,6 +244,23 @@ class TestRateBound:
             ccdn_rate_bound_curve(params).evaluate(memory)
         with pytest.raises(InstanceError, match="is not a number"):
             ccdn_upper_bound(memory, params)
+
+    @pytest.mark.parametrize(
+        "breakpoints",
+        [(), ((2, 0), (1, 1)), ((1, 1), (1, 0))],
+        ids=["no knots", "decreasing", "repeated"],
+    )
+    def test_knots_must_exist_and_increase_in_memory(self, breakpoints):
+        with pytest.raises(InstanceError, match="knot"):
+            RateBoundCurve(breakpoints)
+
+    def test_a_memory_below_the_first_knot_is_outside_the_curve(self):
+        curve = RateBoundCurve(((Fraction(1), Fraction(4)), (2, 0)))
+        assert curve.evaluate(1) == 4
+        assert curve.evaluate(Fraction(3, 2)) == 2
+        for memory in (0, Fraction(1, 2)):
+            with pytest.raises(InstanceError, match="outside the curve"):
+                curve.evaluate(memory)
 
     def test_small_access_degree_is_out_of_regime(self):
         with pytest.raises(RegimeError):
