@@ -461,32 +461,37 @@ def _replacement_choices(
     return options, cost
 
 
-def _overfull(left: int, steps: int, ring: _Ring) -> list[tuple[int, int]]:
-    """The owed diagonals, as (d, excess) pairs, whose cells in the mask
-    ``left`` overflow ``steps`` transmissions; finishing needs none.
+def _capacity(
+    left: int, size: int, steps: int, arity: int, ring: _Ring
+) -> tuple[bool, int]:
+    """Whether a commit of ``size`` terms that leaves the owed mask ``left``
+    can still finish in ``steps`` transmissions, and the cells one more
+    term of it may take: any, only the one diagonal over by one, or none.
 
-    Diagonal d is one K-bit field of ``left``, and one transmission ships
-    at most ``team[d]`` of its cells (see :class:`_Ring`).
+    A transmission ships at most ``arity`` cells, and at most ``team[d]``
+    of diagonal d, one K-bit field of ``left`` (see :class:`_Ring`).
+    Without the tail step (possible only while K cells are owed) the term
+    count never grows, so fewer than K owed cells also cap it at ``size``.
     """
     K = ring.n_users
     row = (1 << K) - 1
-    over = []
+    fits = True
+    line = _ANY_CELL
     for field, d in enumerate(ring.owed_diagonals):
         room = ring.team[d] * steps
         # A field holds at most K cells.
         if room < K:
             excess = (left >> field * K & row).bit_count() - room
             if excess > 0:
-                over.append((d, excess))
-    return over
-
-
-def _short(left: int, size: int, steps: int, arity: int, n_users: int) -> bool:
-    """Whether ``left`` owed cells overflow ``steps`` transmissions after
-    a commit of ``size`` terms.  Without the tail step (possible only while
-    K cells are owed) the term count never grows."""
-    cap = arity if left >= n_users else min(arity, size)
-    return left > cap * steps
+                line = row << field * K if fits and excess == 1 else 0
+                fits = False
+    n = left.bit_count()
+    if n > (arity if n >= K else min(arity, size)) * steps:
+        fits = False
+    # One more term leaves n - 1 cells after a commit of size + 1.
+    if n - 1 > (arity if n > K else min(arity, size + 1)) * steps:
+        line = 0
+    return fits, line
 
 
 def _checked_tail(ring: _Ring, owed: int, arity: int) -> list[int] | None:
@@ -826,10 +831,9 @@ def _tile_leftover(
     K = ring.n_users
     if not offsets:
         return ([], "") if n_cliques == 0 else None
-    # One transmission ships at most team[d] cells of diagonal d.
-    if len(offsets) * K > arity * n_cliques or any(
-        ring.team[d] * n_cliques < K for d in offsets
-    ):
+    # The whole diagonals must fit n_cliques codewords of up to arity terms.
+    whole = sum(((1 << K) - 1) << ring.on_diagonal(0, d) for d in offsets)
+    if not _capacity(whole, arity, n_cliques, arity, ring)[0]:
         return None
     built = _spaced_run_cover(offsets, n_cliques, arity, ring)
     if built is not None:
@@ -1082,9 +1086,7 @@ def _solve_schedule(
                 continue
             steps = budget - len(codewords) - 1
             left = owed ^ sum(1 << cell for cell in partial)
-            if _short(
-                left.bit_count(), len(partial), steps, arity, K
-            ) or _overfull(left, steps, ring):
+            if not _capacity(left, len(partial), steps, arity, ring)[0]:
                 stuck = True
                 continue
             owed = left
@@ -1156,22 +1158,12 @@ def _solve_schedule(
         walk = 0 if doomed else fit
         if commits and (walk or not lost):
             size = len(partial) + lead.bit_count()
-            steps = budget - len(codewords) - 1
-            n_owed = owed.bit_count()
             left = owed ^ lead ^ sum(1 << cell for cell in partial)
-            over = _overfull(left, steps, ring)
-            # line: the cells one more term can pass on: any, or only the
-            # one diagonal over when it is over by one; none when short.
-            line = 0 if over else _ANY_CELL
-            if len(over) == 1 and over[0][1] == 1:
-                line = ((1 << K) - 1) << ring.on_diagonal(0, over[0][0])
-            if _short(n_owed - size - 1, size + 1, steps, arity, K):
-                line = 0
-            walk &= line
-            lost = (
-                lost or not size or bool(over)
-                or _short(n_owed - size, size, steps, arity, K)
+            finishes, line = _capacity(
+                left, size, budget - len(codewords) - 1, arity, ring
             )
+            walk &= line
+            lost = lost or not size or not finishes
         if not lost:
             walk |= lead
         fits = owed & allowed

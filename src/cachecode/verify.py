@@ -298,31 +298,26 @@ def simulate_end_to_end(
         layout = build_cache_layout(params)
     if schedule is None:
         schedule = generate_schedule(params, demands)
-    slices: dict[tuple[int, int], int] = {}
-
-    def slice_int(key: tuple[int, int]) -> int:
-        value = slices.get(key)
-        if value is None:
-            value = slices[key] = int.from_bytes(store.subpacket(*key), "big")
-        return value
-
     for cw in schedule.codewords:
         for u, p in cw:
             if not 1 <= u <= K:
                 raise InstanceError(
                     f"schedule term ({u},{p}) names user {u}, outside 1..{K}"
                 )
-    codewords = [
-        [(demands[u - 1], p) for u, p in cw] for cw in schedule.codewords
-    ]
+    # Every slice a codeword combines, as an int; decoding reads only these.
+    slices: dict[tuple[int, int], int] = {}
+    codewords = []
     payloads = []
-    for cw in codewords:
-        acc = 0
-        for key in cw:
-            acc ^= slice_int(key)
-        payloads.append(acc)
     by_user: dict[int, list[int]] = defaultdict(list)
     for ci, cw in enumerate(schedule.codewords):
+        keys = [(demands[u - 1], p) for u, p in cw]
+        acc = 0
+        for key in keys:
+            if key not in slices:
+                slices[key] = int.from_bytes(store.subpacket(*key), "big")
+            acc ^= slices[key]
+        codewords.append(keys)
+        payloads.append(acc)
         for u in {u for u, _ in cw}:
             by_user[u].append(ci)
 
@@ -343,22 +338,21 @@ def simulate_end_to_end(
         """Learn every codeword's one unknown slice; True iff any was new."""
         progress = False
         for ci in indices:
-            cw = codewords[ci]
-            unknown = [
-                key
-                for key in cw
-                if key[1] not in cached and key not in learned
-            ]
-            if len(unknown) != 1:
-                continue
             residual = payloads[ci]
-            for key in cw:
-                if key != unknown[0]:
-                    residual ^= (
-                        slice_int(key) if key[1] in cached else learned[key]
-                    )
-            learned[unknown[0]] = residual
-            progress = True
+            unknown = None
+            for key in codewords[ci]:
+                if key[1] in cached:
+                    residual ^= slices[key]
+                elif key in learned:
+                    residual ^= learned[key]
+                elif unknown is None:
+                    unknown = key
+                else:
+                    break
+            else:
+                if unknown is not None:
+                    learned[unknown] = residual
+                    progress = True
         return progress
 
     everything = range(len(codewords))
@@ -386,7 +380,7 @@ def simulate_end_to_end(
                 user,
                 passes,
             )
-        if any(learned[key] != slice_int(key) for key in needed):
+        if any(learned[key] != slices[key] for key in needed):
             return fail(user, None, "reassembled with wrong bytes")
     return True
 

@@ -27,6 +27,7 @@ from cachecode.delivery import (
     Codeword,
     SchemeConstants,
     _bits,
+    _capacity,
     _checked_tail,
     _free_run,
     _orbit_base,
@@ -1389,6 +1390,71 @@ class TestFreeRun:
         assert _free_run(free, cell, K) == reference_run_ahead(
             cell, free, sweep_steps(K), K
         )
+
+
+def reference_commit_fits(
+    left: int, size: int, steps: int, arity: int, ring: _Ring
+) -> bool:
+    """The reference sweep's commit check on the owed mask ``left``."""
+    K = ring.n_users
+    n = left.bit_count()
+    cap = arity if n >= K else min(arity, size)
+    left_on = [
+        (left >> field * K & (1 << K) - 1).bit_count()
+        for field in range(len(ring.owed_diagonals))
+    ]
+    team = [ring.team[d] for d in ring.owed_diagonals]
+    return not (
+        n > cap * steps
+        or n and not reference_diagonals_feasible(left_on, steps, team)
+    )
+
+
+class TestCapacity:
+    """``_capacity`` against the reference sweep's commit check, for the
+    commit and for each cell that one more term of it may take."""
+
+    def ring(self, data) -> _Ring:
+        K = data.draw(st.integers(3, 16))
+        return _Ring(K, data.draw(st.integers(1, K - 1)))
+
+    def check(self, left: int, ring: _Ring, data) -> None:
+        # Few steps make the bounds bind.
+        arity = data.draw(st.integers(2, ring.n_users))
+        size = data.draw(st.integers(0, arity))
+        steps = data.draw(st.integers(0, 4))
+        fits, line = _capacity(left, size, steps, arity, ring)
+        assert fits == reference_commit_fits(left, size, steps, arity, ring)
+        for cell in _bits(left):
+            assert bool(line >> cell & 1) == reference_commit_fits(
+                left ^ 1 << cell, size + 1, steps, arity, ring
+            )
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_diagonals_around_their_bound(self, data):
+        # Runs of every length put diagonals on both sides of their bound,
+        # and exactly one over it; empty ones keep the term count in bound.
+        ring = self.ring(data)
+        K = ring.n_users
+        run = st.integers(0, K).map(lambda n: (1 << n) - 1)
+        field = st.just(0) | run.flatmap(
+            lambda r: st.integers(0, K - 1).map(
+                lambda u: (r << u | r >> K - u) & (1 << K) - 1
+            )
+        )
+        fields = range(len(ring.owed_diagonals))
+        self.check(sum(data.draw(field) << f * K for f in fields), ring, data)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_about_k_cells_left(self, data):
+        # The term cap changes at K cells left.
+        ring = self.ring(data)
+        K = ring.n_users
+        cells = data.draw(st.permutations(range(len(ring.compat))))
+        n = data.draw(st.integers(K - 1, K + 1))
+        self.check(sum(1 << cell for cell in cells[:n]), ring, data)
 
 
 class TestSpacing:

@@ -6,17 +6,24 @@ so any change to schedule generation that alters a single term fails here,
 and every one of the schedules must pass the decodability verifier.  The
 sweep search's debug lines, which say how many decisions each instance
 spent, are captured during the same run and pinned by their own digest;
-only the instances with 2i > K run the sweep and log one.  The arity-2
+only the instances with 2i > K run the sweep and log one.  With the orbit
+fallback's lines from the same run, they pin how many instances each
+construction finishes, plan by plan and tiler by tiler.  The arity-2
 instances 1 <= i <= K/2 come from the pairwise closed form, and the sweep
 run on them alone reproduces it codeword for codeword.  Past the grid, the
 sweep's lines for the 50 instances 25 <= K <= 28 with 2i > K are pinned
 too, from the sweep run alone.
 Sixteen fallback instances, fifteen of them past K = 24, are pinned the
 same way as the grid, and each of them is verified and delivered bit for
-bit.
+bit.  The script itself refuses to digest a schedule that fails the
+verifier.
 """
 
+import dataclasses
 import importlib.util
+import logging
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,14 +85,33 @@ def load_script():
 digest_script = load_script()
 
 
+class _FallbackLines(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.DEBUG)
+        self.lines: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if message.startswith("orbit fallback for "):
+            self.lines.append(message)
+
+
 @pytest.fixture(scope="module")
 def grid24_run():
-    """The grid's schedules and the sweep lines logged while making them."""
+    """The grid's schedules, and the sweep and orbit fallback lines logged
+    while making them."""
+    fallback = _FallbackLines()
+    logger = logging.getLogger("cachecode.delivery")
     with digest_script.sweep_lines() as lines:
-        schedules = [
-            digest_script.instance_schedule(K, i) for K, i in digest_script.GRID24
-        ]
-    return schedules, lines
+        logger.addHandler(fallback)
+        try:
+            schedules = [
+                digest_script.instance_schedule(K, i)
+                for K, i in digest_script.GRID24
+            ]
+        finally:
+            logger.removeHandler(fallback)
+    return schedules, lines, fallback.lines
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +127,29 @@ def test_grid24_decisions_are_pinned(grid24_run):
     lines = grid24_run[1]
     assert len(lines) == 132
     assert digest_script.lines_digest(lines) == GRID24_DECISIONS_DIGEST
+
+
+def test_grid24_construction_counts_are_pinned(grid24_run):
+    # An instance that logs no sweep line comes from the pair closed form;
+    # the orbit fallback finishes each one whose sweep gives up, and its
+    # line names the plan and the tiler of the leftover diagonals.
+    schedules, lines, fallback = grid24_run
+    gave_up = re.findall(r"sweep for (K=\d+, i=\d+) gave up", "".join(lines))
+    plans = [
+        re.fullmatch(r"orbit fallback for (K=\d+, i=\d+): (.+)", line).groups()
+        for line in fallback
+    ]
+    assert len(schedules) - len(lines) == 144
+    assert len(lines) - len(gave_up) == 103
+    assert [where for where, _ in plans] == gave_up
+    assert Counter(plan for _, plan in plans) == {
+        "coset plan": 8,
+        "transversal plan": 1,
+        "transversal plan, tiled by spaced run": 1,
+        "transversal plan, tiled by min-conflicts": 4,
+        "whole-region plan, tiled by spaced run": 2,
+        "whole-region plan, tiled by min-conflicts": 13,
+    }
 
 
 def test_grid24_is_decodable_on_sight(grid24):
@@ -166,14 +215,34 @@ def test_fallback_instances_past_k24_are_pinned(instances, digest):
         )
 
 
-def test_k40_leaves_out_only_the_unbounded_instances():
+def test_k40_leaves_out_only_the_instances_with_no_schedule():
     K40 = digest_script.K40
     assert len(K40) == 772 == len(set(K40))
     assert digest_script.GRID24 == K40[: len(digest_script.GRID24)]
-    assert len(digest_script.K40_UNBOUNDED) == 8
-    assert set(K40) | digest_script.K40_UNBOUNDED == {
+    assert len(digest_script.K40_NO_SCHEDULE) == 8
+    assert set(K40) | digest_script.K40_NO_SCHEDULE == {
         (K, i) for K in range(2, 41) for i in range(1, K)
     }
+
+
+@pytest.mark.parametrize("mode", [[], ["--decisions"]])
+def test_an_undecodable_schedule_stops_the_digest(mode, monkeypatch, capsys):
+    # 6:4's schedule loses its last codeword: its demands are no longer
+    # covered, so no digest is printed and the instance is named.
+    real = digest_script.instance_schedule
+
+    def instance_schedule(K, i):
+        schedule = real(K, i)
+        if (K, i) == (6, 4):
+            codewords = schedule.codewords[:-1]
+            schedule = dataclasses.replace(schedule, codewords=codewords)
+        return schedule
+
+    monkeypatch.setattr(digest_script, "instance_schedule", instance_schedule)
+    assert digest_script.main(mode + ["--instances", "4:3,6:4,7:5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("K=6, i=4: missing: ")
 
 
 def test_canonical_line_format():
